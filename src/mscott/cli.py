@@ -1,8 +1,7 @@
 """Command-line front end.
 
 Deterministic output: identical inputs and flags produce byte-identical
-output (exact arithmetic, fixed enumeration order, sorted JSON keys),
-independent of the parallelism degree.
+output (exact arithmetic, fixed enumeration order, sorted JSON keys).
 
 Exit codes: 0 success, 1 domain rejection (validation or side-condition
 failure), 2 usage error.
@@ -11,9 +10,7 @@ failure), 2 usage error.
 from __future__ import annotations
 
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,22 +31,6 @@ from .structures import (
     parse_structure,
 )
 from .syntax import EMPTY_SIGNATURE, Signature
-
-
-def _parallel_degree(opt: int | None) -> int:
-    if opt is not None:
-        return max(1, opt)
-    env = os.environ.get("MSCOTT_PARALLEL")
-    return max(1, int(env)) if env and env.isdigit() else 1
-
-
-def _pmap(fn, items, degree: int) -> list:
-    """Order-preserving map; the degree changes scheduling, never results."""
-    items = list(items)
-    if degree <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=degree) as pool:
-        return list(pool.map(fn, items))
 
 
 def _emit(payload: dict, as_json: bool, text_lines: list[str]) -> None:
@@ -182,14 +163,13 @@ def cmd_eval(structure: str, formula: str, point_tuple: str, as_json: bool, deci
 
 @main.command("dense-family")
 @click.option("--arity", required=True, type=int)
-@click.option("--count", required=True, type=int)
+@click.option("--count", required=True, type=click.IntRange(min=0))
 @click.option("--omega", "omega_name", default="sum", show_default=True)
 @click.option("--signature", "sig_file", type=click.Path(), default=None,
               help="take the signature from this structure file (default: empty)")
 @click.option("--json", "as_json", is_flag=True)
-@click.option("--parallel", type=int, default=None, help="parallelism degree")
 def cmd_dense_family(arity: int, count: int, omega_name: str, sig_file: str | None,
-                     as_json: bool, parallel: int | None) -> None:
+                     as_json: bool) -> None:
     """Print the first COUNT dense-family members at the given arity."""
     try:
         omega = weak_modulus(omega_name)
@@ -199,11 +179,9 @@ def cmd_dense_family(arity: int, count: int, omega_name: str, sig_file: str | No
     sig: Signature = EMPTY_SIGNATURE
     if sig_file is not None:
         sig = _load(sig_file).signature
-    if arity < 1 or count < 0:
-        _fail("need --arity >= 1 and --count >= 0")
-    members = enumerate_family(sig, omega, arity, count)
-    degree = _parallel_degree(parallel)
-    lines = _pmap(print_formula, members, degree)
+    if arity < 1:
+        _fail("need --arity >= 1")
+    lines = [print_formula(phi) for phi in enumerate_family(sig, omega, arity, count)]
     payload = {
         "command": "dense-family",
         "arity": arity,
@@ -261,11 +239,9 @@ def cmd_modulus_floor(target: str, step_text: str, bound_text: str, kmax: int, a
 @click.argument("structure", type=click.Path())
 @click.argument("tuple_a")
 @click.argument("tuple_b")
-@click.option("--family", default=200, show_default=True, type=int)
+@click.option("--family", default=200, show_default=True, type=click.IntRange(min=0))
 @click.option("--json", "as_json", is_flag=True)
-@click.option("--parallel", type=int, default=None)
-def cmd_r0(structure: str, tuple_a: str, tuple_b: str, family: int,
-           as_json: bool, parallel: int | None) -> None:
+def cmd_r0(structure: str, tuple_a: str, tuple_b: str, family: int, as_json: bool) -> None:
     """Stage-0 back-and-forth distance between two same-length tuples."""
     s = _load(structure)
     a, b = _tuple_arg(tuple_a, s), _tuple_arg(tuple_b, s)
@@ -273,8 +249,7 @@ def cmd_r0(structure: str, tuple_a: str, tuple_b: str, family: int,
         _fail("tuples must have the same length (unequal lengths are a "
               "threshold-operator clause, not an r0 input)")
     engine = BFEngine(s, config=EngineConfig(family_size=family))
-    degree = _parallel_degree(parallel)
-    value, meta = engine.r0_pair(a, b, mapper=lambda fn, xs: _pmap(fn, xs, degree))
+    value, meta = engine.r0_pair(a, b)
     payload = {
         "command": "r0",
         "structure": s.name,
@@ -296,7 +271,7 @@ def cmd_r0(structure: str, tuple_a: str, tuple_b: str, family: int,
 @click.argument("structure", type=click.Path())
 @click.option("--stage", required=True, type=int)
 @click.option("--arity", required=True, type=int)
-@click.option("--family", default=200, show_default=True, type=int)
+@click.option("--family", default=200, show_default=True, type=click.IntRange(min=0))
 @click.option("--table-cap", default=None, type=int,
               help="arity+stage window (default: exactly arity+stage)")
 @click.option("--json", "as_json", is_flag=True)
@@ -332,8 +307,8 @@ def cmd_ralpha(structure: str, stage: int, arity: int, family: int,
 
 @main.command("scott-rank")
 @click.argument("structure", type=click.Path())
-@click.option("--max-arity", default=3, show_default=True, type=int)
-@click.option("--family", default=200, show_default=True, type=int)
+@click.option("--max-arity", default=3, show_default=True, type=click.IntRange(min=1))
+@click.option("--family", default=200, show_default=True, type=click.IntRange(min=0))
 @click.option("--stage-cap", default=8, show_default=True, type=int)
 @click.option("--table-cap", default=None, type=int)
 @click.option("--json", "as_json", is_flag=True)
@@ -351,7 +326,7 @@ def cmd_scott_rank(structure: str, max_arity: int, family: int, stage_cap: int,
         "checkable_stages": report.checkable_stages,
         "meta": report.meta,
     }
-    if report.rank is not None:
+    if report.definitive:
         lines = [
             f"rank {report.rank} (stable through the computed window; "
             f"arity cap {engine.config.max_arity}, table cap {engine.cap})"
@@ -368,8 +343,8 @@ def cmd_scott_rank(structure: str, max_arity: int, family: int, stage_cap: int,
 @click.argument("structure", type=click.Path())
 @click.option("--q", "q_text", required=True, help="positive rational threshold, e.g. 1/10")
 @click.option("--stage-cap", default=8, show_default=True, type=int)
-@click.option("--max-arity", default=3, show_default=True, type=int)
-@click.option("--family", default=200, show_default=True, type=int)
+@click.option("--max-arity", default=3, show_default=True, type=click.IntRange(min=1))
+@click.option("--family", default=200, show_default=True, type=click.IntRange(min=0))
 @click.option("--table-cap", default=None, type=int)
 @click.option("--limit", default=50, show_default=True, type=int,
               help="maximum number of member pairs to list")

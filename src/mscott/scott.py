@@ -19,13 +19,17 @@ The engine computes, for one finite structure:
   least fixed point and entry stages are compared against the
   r-threshold predicate by ``oracle_equivalence``.
 
-Arithmetic is exact throughout: tables hold integers over one common
-denominator when that stays small, and Fraction objects otherwise.
+Arithmetic is exact throughout.  Every successor stage is a min/max of
+the stage before, so every stage holds only stage-0 values, and every
+later question (threshold, equality, stability) is about their order.
+Each engine therefore keeps one ascending ``codebook`` of the distinct
+stage-0 values as Fractions, shared by every arity and stage, and every
+stage table holds small unsigned integer codes into it.
 """
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -35,13 +39,9 @@ import numpy as np
 from .evaluation import Evaluator
 from .family import family_stack
 from .moduli import SumWeakModulus
-from .parser import print_formula
-from .rationals import ZERO, format_rational
+from .rationals import ZERO, format_rational, lcm_denominator
 from .structures import PreStructure
-from .syntax import Formula, eval_connective, normalize_basic
-
-_INT_DENOM_LIMIT = 1 << 40
-
+from .syntax import Atomic, Formula, eval_connective, normalize_basic
 
 _AUTO_TUPLE_BUDGET = 2000  # top-arity tuple count the auto cap will allow
 
@@ -133,7 +133,7 @@ class BFEngine:
         self._families: dict[int, list[Formula]] = {}
         self._tuples: dict[int, list[tuple[str, ...]]] = {}
         self._tables: dict[tuple[int, int], np.ndarray] = {}
-        self._denom: int | None = None
+        self._codebook: tuple[Fraction, ...] = ()
         self._built = False
 
     # -- construction -------------------------------------------------
@@ -161,82 +161,77 @@ class BFEngine:
             )
         return self._families[n]
 
-    def _formula_rows(self, n: int) -> list[list[Fraction]]:
-        """One row of exact values per family member, over all n-tuples."""
+    def _formula_rows(self, n: int, values: dict[Fraction, int]) -> np.ndarray:
+        """Value codes of the distinct family rows over all n-tuples.
+
+        ``values`` maps each value to its code and gives unseen values the
+        next code.  Each connective is evaluated once per distinct tuple
+        of atom values; those tuples are found once per tuple of atomics."""
         ev = Evaluator(self.s)
         tuples = self.tuples(n)
-        atom_cols: dict[str, list[Fraction]] = {}
-        rows: list[list[Fraction]] = []
-        seen_rows: set[tuple[Fraction, ...]] = set()
+
+        def codes(vs) -> np.ndarray:
+            return np.array([values.setdefault(v, len(values)) for v in vs], dtype=np.intp)
+
+        atom_cols: dict[Atomic, list[Fraction]] = {}
+        # atomics -> (distinct atom-value tuples, which one each n-tuple has)
+        points: dict[tuple[Atomic, ...], tuple[list[tuple[Fraction, ...]], np.ndarray]] = {}
+        rows: dict[bytes, np.ndarray] = {}
         for phi in self.family(n):
             expr, atomics = normalize_basic(phi)
-            cols = []
-            for a in atomics:
-                key = print_formula(a)
-                if key not in atom_cols:
-                    atom_cols[key] = [ev.formula(a, t) for t in tuples]
-                cols.append(atom_cols[key])
-            value_cache: dict[tuple[Fraction, ...], Fraction] = {}
-            row = []
-            for ti in range(len(tuples)):
-                z = tuple(c[ti] for c in cols)
-                v = value_cache.get(z)
-                if v is None:
-                    v = eval_connective(expr, z)
-                    value_cache[z] = v
-                row.append(v)
-            key_row = tuple(row)
-            if key_row not in seen_rows:
-                seen_rows.add(key_row)
-                rows.append(row)
-        return rows
-
-    def denominator(self) -> int:
-        self._build()
-        assert self._denom is not None
-        return self._denom
+            if atomics not in points:
+                for a in atomics:
+                    if a not in atom_cols:
+                        atom_cols[a] = [ev.formula(a, t) for t in tuples]
+                cols = [atom_cols[a] for a in atomics]
+                keys = np.array([codes(c) for c in cols], dtype=np.intp).reshape(len(cols), len(tuples))
+                _, first, inverse = np.unique(keys.T, axis=0, return_index=True, return_inverse=True)
+                points[atomics] = ([tuple(c[i] for c in cols) for i in first], inverse.reshape(-1))
+            zs, inverse = points[atomics]
+            row = codes(eval_connective(expr, z) for z in zs)[inverse]
+            rows.setdefault(row.tobytes(), row)
+        return np.array(list(rows.values()), dtype=np.intp).reshape(len(rows), len(tuples))
 
     def _build(self) -> None:
+        """Stage 0 at every arity of the window, and the codebook.
+
+        A stage-0 cell is the max over rows of |v_i - v_j| for two row
+        values, so with ``diff[i, j]`` the rank of that difference among
+        all differences, a table is a max of ``diff`` entries."""
         if self._built:
             return
-        all_rows: dict[int, list[list[Fraction]]] = {}
-        denom = 1
-        for n in range(1, self.cap + 1):
-            rows = self._formula_rows(n)
-            all_rows[n] = rows
-            for row in rows:
-                for v in row:
-                    denom = math.lcm(denom, v.denominator)
-        self._denom = denom
-        use_int = denom <= _INT_DENOM_LIMIT
-        for n in range(1, self.cap + 1):
-            rows = all_rows[n]
-            t = len(self.tuples(n))
-            if use_int:
-                if rows:
-                    V = np.array(
-                        [[int(v * denom) for v in row] for row in rows], dtype=np.int64
-                    )
-                else:
-                    V = np.zeros((1, t), dtype=np.int64)
-                table = np.zeros((t, t), dtype=np.int64)
-                chunk = max(1, (1 << 22) // max(1, V.shape[0] * t))
-                for lo in range(0, t, chunk):
-                    hi = min(t, lo + chunk)
-                    diff = np.abs(V[:, :, None] - V[:, None, lo:hi])
-                    table[:, lo:hi] = diff.max(axis=0)
-            else:
-                if rows:
-                    V = np.array(rows, dtype=object)
-                else:
-                    V = np.full((1, t), ZERO, dtype=object)
-                table = np.empty((t, t), dtype=object)
-                for i in range(t):
-                    col_i = V[:, i]
-                    for j in range(t):
-                        table[i, j] = max(abs(x - y) for x, y in zip(col_i, V[:, j]))
-            self._tables[(n, 0)] = table
+        values: dict[Fraction, int] = {}
+        rows = {n: self._formula_rows(n, values) for n in range(1, self.cap + 1)}
+        # Differences are ranked as integers over the values' common
+        # denominator: exact, and far cheaper than Fraction arithmetic.
+        scale = lcm_denominator(values)
+        nums = [v.numerator * (scale // v.denominator) for v in values]
+        gaps = sorted({0} | {abs(x - y) for x in nums for y in nums})
+        rank = {g: i for i, g in enumerate(gaps)}
+        diff = np.array([[rank[abs(x - y)] for y in nums] for x in nums],
+                        dtype=np.min_scalar_type(len(gaps) - 1))
+        used = np.zeros(len(gaps), dtype=bool)
+        tables = {}
+        for n, R in rows.items():
+            t = R.shape[1]
+            table = np.zeros((t, t), dtype=diff.dtype)
+            for row in R:
+                np.maximum(table, diff.take(row, axis=0).take(row, axis=1), out=table)
+            used[table] = True
+            tables[n] = table
+        # Only the differences that some cell holds enter the codebook.
+        self._codebook = tuple(Fraction(gaps[i], scale) for i in np.flatnonzero(used))
+        code = (np.cumsum(used) - 1).astype(np.min_scalar_type(len(self._codebook) - 1))
+        for n, table in tables.items():
+            self._tables[(n, 0)] = code[table]
         self._built = True
+
+    @property
+    def codebook(self) -> tuple[Fraction, ...]:
+        """The distinct stage-0 values, ascending; a table code i stands for
+        ``codebook[i]``."""
+        self._build()
+        return self._codebook
 
     # -- stage tables ---------------------------------------------------
 
@@ -245,7 +240,7 @@ class BFEngine:
         return min(self.cap - n, self.config.stage_cap)
 
     def table(self, n: int, stage: int) -> np.ndarray:
-        """Stage table at arity n, scaled by ``denominator()`` on the int path."""
+        """Stage table at arity n, as codes into ``codebook``."""
         self._build()
         if n < 1 or n > self.cap:
             raise ValueError(f"arity {n} outside the table window 1..{self.cap}")
@@ -270,39 +265,27 @@ class BFEngine:
         if len(a) != len(b):
             raise ValueError("tuples must have equal length; unequal lengths are "
                              "flagged by the threshold operator instead")
-        n = len(a)
-        tab = self.table(n, stage)
-        v = tab[self.tuple_index(a), self.tuple_index(b)]
-        if tab.dtype == object:
-            return v
-        return Fraction(int(v), self.denominator())
+        tab = self.table(len(a), stage)
+        return self._codebook[tab[self.tuple_index(a), self.tuple_index(b)]]
 
     def pairs(self, n: int, stage: int) -> Iterator[tuple[tuple[str, ...], tuple[str, ...], Fraction]]:
         tab = self.table(n, stage)
         tuples = self.tuples(n)
-        denom = self.denominator()
         for i, a in enumerate(tuples):
             for j, b in enumerate(tuples):
-                v = tab[i, j]
-                yield a, b, (v if tab.dtype == object else Fraction(int(v), denom))
+                yield a, b, self._codebook[tab[i, j]]
 
     # -- r0 metadata ----------------------------------------------------
 
-    def r0_pair(
-        self, a: tuple[str, ...], b: tuple[str, ...], mapper=map
-    ) -> tuple[Fraction, dict]:
+    def r0_pair(self, a: tuple[str, ...], b: tuple[str, ...]) -> tuple[Fraction, dict]:
         """Stage-0 value for one pair plus resolution metadata (family size,
-        and the metric-only closed form where available).
-
-        ``mapper`` may be an order-preserving parallel map; the result is
-        a max, so scheduling never affects it."""
+        and the metric-only closed form where available)."""
         if len(a) != len(b):
             raise ValueError("tuples must have equal length")
         n = len(a)
         family = self.family(n)
         ev = Evaluator(self.s)
-        gaps = list(mapper(lambda phi: abs(ev.formula(phi, a) - ev.formula(phi, b)), family))
-        best = max(gaps, default=ZERO)
+        best = max((abs(ev.formula(phi, a) - ev.formula(phi, b)) for phi in family), default=ZERO)
         meta: dict = {"family_size": len(family), "arity": n}
         sig = self.s.signature
         if not sig.relations and not sig.functions and not sig.constants:
@@ -340,7 +323,7 @@ class BFEngine:
                 rank = alpha
         return RankReport(
             rank=rank,
-            definitive=rank is not None,
+            definitive=rank is not None and bool(stable),
             checkable_stages=checkable,
             stable=stable,
             meta=self.config.meta(self.cap) | {"structure": self.s.name},
@@ -349,10 +332,8 @@ class BFEngine:
     # -- threshold operator ------------------------------------------------
 
     def _threshold(self, n: int, stage: int, q: Fraction) -> np.ndarray:
-        tab = self.table(n, stage)
-        if tab.dtype == object:
-            return np.vectorize(lambda v: v > q, otypes=[bool])(tab)
-        return tab * q.denominator > q.numerator * self.denominator()
+        """The pairs with r_stage > q: codes past every codebook value <= q."""
+        return self.table(n, stage) >= bisect_right(self._codebook, q)
 
     def gamma_fixpoint(self, q: Fraction) -> FixpointTrace:
         """Least fixed point of the threshold operator at q, with entry stages.
@@ -407,8 +388,11 @@ class BFEngine:
     def r_entry_stages(self, q: Fraction, n: int) -> np.ndarray:
         """Least stage alpha within the window with r_alpha > q, else -1."""
         out = np.full(self.table(n, 0).shape, -1, dtype=np.int64)
+        # Compared value by value, not through ``_threshold``, so that
+        # ``oracle_equivalence`` checks the fixpoint against its own reading.
+        above = np.array([v > q for v in self._codebook], dtype=bool)
         for alpha in range(self.window(n) + 1):
-            memb = self._threshold(n, alpha, q)
+            memb = above[self.table(n, alpha)]
             fresh = memb & (out < 0)
             out[fresh] = alpha
         return out

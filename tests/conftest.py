@@ -2,13 +2,27 @@ import random
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mscott.moduli import Linear
+from mscott.rationals import lcm_denominator
 from mscott.structures import PreStructure, build_metric, validate
 from mscott.syntax import RelationSymbol, Signature
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def codebook_numerators(engine, *extra: F) -> tuple[np.ndarray, int]:
+    """Exact stage values as integers: returns ``(nums, L)`` with ``L`` the
+    lcm of the denominators of ``engine.codebook`` and of ``extra``, and
+    ``nums[code]`` the numerator over ``L`` of the value that ``code``
+    stands for, so ``nums[table]`` is a code table's exact values over L."""
+    L = lcm_denominator(engine.codebook + extra)
+    # int64 with room for the few sums of values the tests form
+    assert L < 2**60, f"common denominator {L} too large for int64 checks"
+    return np.array([v.numerator * (L // v.denominator) for v in engine.codebook],
+                    dtype=np.int64), L
 
 
 @pytest.fixture(scope="session")

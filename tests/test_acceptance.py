@@ -19,6 +19,8 @@ from mscott.scott import BFEngine, EngineConfig
 from mscott.segments import lattice_approximate, make_segment, segment_norm_bound
 from mscott.structures import automorphisms, load_structure
 
+from conftest import codebook_numerators
+
 PKG_ROOT = Path(__file__).resolve().parent.parent
 DATA = PKG_ROOT / "data"
 OMEGA = SumWeakModulus()
@@ -51,7 +53,9 @@ def test_criterion_1_pseudo_distance(engines):
     structures = pairs = 0
     for eng in engines:
         structures += 1
-        for n, stage, tab in _tables_up_to_arity3(eng):
+        nums, _ = codebook_numerators(eng)
+        for n, stage, codes in _tables_up_to_arity3(eng):
+            tab = nums[codes]
             t = tab.shape[0]
             pairs += t * t
             assert (np.diagonal(tab) == 0).all(), "reflexivity"
@@ -62,9 +66,8 @@ def test_criterion_1_pseudo_distance(engines):
                      f"{pairs} (pair,stage) cells")
 
 
-def _omega_gap_matrix(eng, n):
+def _omega_gap_matrix(eng, n, denom):
     m = len(eng.s.points)
-    denom = eng.denominator()
     D = np.zeros((m, m), dtype=np.int64)
     for i, p in enumerate(eng.s.points):
         for j, q in enumerate(eng.s.points):
@@ -79,10 +82,11 @@ def _omega_gap_matrix(eng, n):
 def test_criterion_2_omega_respect(engines):
     checked = 0
     for eng in engines:
+        nums, denom = codebook_numerators(eng, *eng.s.metric.values())
         for n in (1, 2, 3):
-            gap = _omega_gap_matrix(eng, n)
+            gap = _omega_gap_matrix(eng, n, denom)
             for stage in range(eng.window(n) + 1):
-                tab = eng.table(n, stage)
+                tab = nums[eng.table(n, stage)]
                 t = tab.shape[0]
                 for ap in range(t):
                     # max_b (r(a,b) - r(ap,b)) <= omega-gap(a, ap) for all a
@@ -124,7 +128,6 @@ def test_criterion_5_r0_closed_form(engines, three_point):
         if sig.relations or sig.functions or sig.constants:
             continue
         tab = eng.table(2, 0)
-        denom = eng.denominator()
         tuples = eng.tuples(2)
         for i, a in enumerate(tuples):
             for j, b in enumerate(tuples):
@@ -133,7 +136,7 @@ def test_criterion_5_r0_closed_form(engines, three_point):
                     for x in range(2)
                     for y in range(2)
                 )
-                got = F(int(tab[i, j]), denom) if tab.dtype != object else tab[i, j]
+                got = eng.codebook[tab[i, j]]
                 assert got == oracle, (eng.s.name, a, b, got, oracle)
                 pairs += 1
     _report(5, True, f"enumerated r0 equals the pairwise metric form exactly on "
@@ -242,16 +245,11 @@ _CLI_CASES = [
 ]
 
 
-def _run_cli(args, parallel: str) -> bytes:
-    import os
-
-    env = os.environ.copy()
-    env["MSCOTT_PARALLEL"] = parallel
+def _run_cli(args) -> bytes:
     proc = subprocess.run(
         [sys.executable, "-m", "mscott", *args],
         capture_output=True,
         cwd=PKG_ROOT,
-        env=env,
     )
     assert proc.returncode == 0, (args, proc.stderr)
     return proc.stdout
@@ -259,9 +257,6 @@ def _run_cli(args, parallel: str) -> bytes:
 
 def test_criterion_10_cli_determinism():
     for args in _CLI_CASES:
-        runs = [_run_cli(args, "1") for _ in range(3)]
+        runs = [_run_cli(args) for _ in range(3)]
         assert runs[0] == runs[1] == runs[2], f"nondeterministic across runs: {args}"
-        wide = _run_cli(args, "4")
-        assert wide == runs[0], f"parallelism changed output: {args}"
-    _report(10, True, f"byte-identical output for {len(_CLI_CASES)} commands x 3 runs "
-                      f"and parallel degrees 1 vs 4")
+    _report(10, True, f"byte-identical output for {len(_CLI_CASES)} commands x 3 runs")

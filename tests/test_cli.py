@@ -230,3 +230,30 @@ def test_point_not_in_structure_rejected():
     )
     assert proc.returncode == 1
     assert "nope" in proc.stderr
+
+
+def test_fixpoint_tiny_thresholds_exact():
+    # members can only grow as q shrinks, whatever q's denominator
+    def members(q):
+        out = run_cli("fixpoint", str(DATA / "three_point.ms"), "--q", q,
+                      "--table-cap", "3", "--json")
+        return json.loads(out)["members_total"]
+
+    assert members("3/68719476737") >= members("1/1000")
+    assert members(f"1/{2 ** 70}") >= members("3/68719476737")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["r0", str(DATA / "square.ms"), "a,b", "a,c", "--family", "-5"],
+        ["ralpha", str(DATA / "three_point.ms"), "--stage", "0", "--arity", "1", "--family", "-5"],
+        ["scott-rank", str(DATA / "three_point.ms"), "--family", "-5"],
+        ["fixpoint", str(DATA / "three_point.ms"), "--q", "1/10", "--family", "-5"],
+        ["dense-family", "--arity", "1", "--count", "-5"],
+        ["scott-rank", str(DATA / "three_point.ms"), "--max-arity", "0", "--table-cap", "1"],
+        ["fixpoint", str(DATA / "three_point.ms"), "--q", "1/10", "--max-arity", "0"],
+    ],
+)
+def test_out_of_range_option_is_usage_error(args):
+    run_cli(*args, expect=2)

@@ -4,8 +4,13 @@ from itertools import product
 import numpy as np
 import pytest
 
+from mscott.evaluation import Evaluator
+from mscott.rationals import lcm_denominator
 from mscott.scott import BFEngine, EngineConfig
-from mscott.structures import automorphisms
+from mscott.structures import PreStructure, automorphisms, build_metric, validate
+from mscott.syntax import Signature
+
+from conftest import codebook_numerators
 
 
 @pytest.fixture(scope="module")
@@ -91,9 +96,6 @@ def test_two_point_rank_zero(two_engine):
 
 
 def test_one_point_structure_rank_zero():
-    from mscott.structures import PreStructure, validate
-    from mscott.syntax import Signature
-
     s = PreStructure(signature=Signature(), points=("o",), metric={("o", "o"): F(0)})
     assert validate(s) == []
     eng = BFEngine(s, config=EngineConfig(max_arity=1, table_cap=3))
@@ -114,9 +116,10 @@ def test_three_point_rank_at_least_one(three_point):
 def test_pseudometric_axioms_all_stages(corpus):
     for s in corpus[:8]:
         eng = BFEngine(s, config=EngineConfig(family_size=120, max_arity=2, table_cap=3))
+        nums, _ = codebook_numerators(eng)
         for n in (1, 2):
             for stage in range(eng.window(n) + 1):
-                tab = eng.table(n, stage)
+                tab = nums[eng.table(n, stage)]
                 assert (np.diagonal(tab) == 0).all()
                 assert (tab == tab.T).all()
                 t = tab.shape[0]
@@ -265,7 +268,7 @@ def gamma_fixpoint_oracle(engine, q):
 
 def test_gamma_matches_independent_oracle(three_point):
     eng = BFEngine(three_point, config=EngineConfig(family_size=120, max_arity=1, table_cap=2, stage_cap=4))
-    for q in (F(1, 10), F(1, 4), F(1, 2)):
+    for q in (F(1, 10), F(1, 4), F(1, 2), F(3, 2**36 + 1), F(1, 2**70)):
         trace = eng.gamma_fixpoint(q)
         oracle = gamma_fixpoint_oracle(eng, q)
         for n in range(1, eng.cap + 1):
@@ -286,19 +289,31 @@ def test_gamma_stage_sizes_monotone_until_closure(three_engine):
     assert totals[trace.closure_stage] == totals[trace.closure_stage - 1]
 
 
-def test_fraction_fallback_path_matches_int_path(three_point, monkeypatch):
-    import mscott.scott as scott_mod
-
-    fast = BFEngine(three_point, config=EngineConfig(family_size=60, max_arity=1, table_cap=2))
-    monkeypatch.setattr(scott_mod, "_INT_DENOM_LIMIT", 1)
-    slow = BFEngine(three_point, config=EngineConfig(family_size=60, max_arity=1, table_cap=2))
-    assert slow.table(1, 0).dtype == object
+def test_wide_denominator_matches_fraction_bruteforce():
+    # Distances k/p for primes p near 2^22: the codebook's common
+    # denominator passes 64 bits, where no machine-word scaling is exact.
+    points = ("x", "y", "z")
+    lower = [[F(2**21 + 5, 4194301)], [F(2**21 + 17, 4194287), F(3 * 2**20, 4194277)]]
+    s = PreStructure(signature=Signature(), points=points, metric=build_metric(points, lower))
+    assert validate(s) == []
+    eng = BFEngine(s, config=EngineConfig(family_size=30, max_arity=1, table_cap=2))
+    assert lcm_denominator(eng.codebook).bit_length() >= 64
+    ev = Evaluator(s)
     for n in (1, 2):
-        for stage in range(fast.window(n) + 1):
-            for a in fast.tuples(n):
-                for b in fast.tuples(n):
-                    assert fast.value(stage, a, b) == slow.value(stage, a, b)
-    trace_fast = fast.gamma_fixpoint(F(1, 10))
-    trace_slow = slow.gamma_fixpoint(F(1, 10))
-    for n in range(1, fast.cap + 1):
-        assert (trace_fast.entry[n] == trace_slow.entry[n]).all()
+        for a in eng.tuples(n):
+            for b in eng.tuples(n):
+                want = max(abs(ev.formula(phi, a) - ev.formula(phi, b)) for phi in eng.family(n))
+                assert eng.value(0, a, b) == want, (a, b)
+    for a in eng.tuples(1):
+        for b in eng.tuples(1):
+            assert eng.value(1, a, b) == brute_successor(eng, a, b)
+    for q in (F(1, 10), F(1, 2**70)):
+        assert eng.oracle_equivalence(q).ok
+
+
+def test_rank_not_definitive_without_checked_tables(three_point):
+    # table cap 1 leaves no arity below the cap, so no stage pair is compared
+    eng = BFEngine(three_point, config=EngineConfig(max_arity=1, table_cap=1))
+    report = eng.scott_rank()
+    assert report.stable == {}
+    assert not report.definitive
