@@ -309,7 +309,7 @@ def cmd_ralpha(structure: str, stage: int, arity: int, family: int,
 @click.argument("structure", type=click.Path())
 @click.option("--max-arity", default=3, show_default=True, type=click.IntRange(min=1))
 @click.option("--family", default=200, show_default=True, type=click.IntRange(min=0))
-@click.option("--stage-cap", default=8, show_default=True, type=int)
+@click.option("--stage-cap", default=8, show_default=True, type=click.IntRange(min=1))
 @click.option("--table-cap", default=None, type=int)
 @click.option("--json", "as_json", is_flag=True)
 def cmd_scott_rank(structure: str, max_arity: int, family: int, stage_cap: int,
@@ -331,6 +331,8 @@ def cmd_scott_rank(structure: str, max_arity: int, family: int, stage_cap: int,
             f"rank {report.rank} (stable through the computed window; "
             f"arity cap {engine.config.max_arity}, table cap {engine.cap})"
         ]
+    elif report.checkable_stages < 0:
+        lines = [f"no rank: no stage pair fits table cap {engine.cap}; raise --table-cap"]
     else:
         lines = [
             f"rank not stabilized within the window (checked stages 0..{report.checkable_stages}; "
@@ -342,11 +344,11 @@ def cmd_scott_rank(structure: str, max_arity: int, family: int, stage_cap: int,
 @main.command("fixpoint")
 @click.argument("structure", type=click.Path())
 @click.option("--q", "q_text", required=True, help="positive rational threshold, e.g. 1/10")
-@click.option("--stage-cap", default=8, show_default=True, type=int)
+@click.option("--stage-cap", default=8, show_default=True, type=click.IntRange(min=0))
 @click.option("--max-arity", default=3, show_default=True, type=click.IntRange(min=1))
 @click.option("--family", default=200, show_default=True, type=click.IntRange(min=0))
 @click.option("--table-cap", default=None, type=int)
-@click.option("--limit", default=50, show_default=True, type=int,
+@click.option("--limit", default=50, show_default=True, type=click.IntRange(min=0),
               help="maximum number of member pairs to list")
 @click.option("--json", "as_json", is_flag=True)
 def cmd_fixpoint(structure: str, q_text: str, stage_cap: int, max_arity: int,

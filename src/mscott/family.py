@@ -3,7 +3,8 @@ weak-modulus-respecting basic formulas, and the respects-check.
 
 For a fixed signature, weak modulus, and arity n the family interleaves,
 by a diagonal over per-tuple streams, the lattice terms of segment
-connectives over every finite tuple of atomic formulas in v0..v_{n-1}:
+connectives over every tuple of at most ``MAX_TUPLE_LEN`` atomic
+formulas in v0..v_{n-1}:
 
 * the atomic pool drops atomics whose canonical modulus is identically
   zero (their value is pinned by the constant-substitution reduction;
@@ -15,13 +16,18 @@ connectives over every finite tuple of atomic formulas in v0..v_{n-1}:
   atomic moduli.  That closed form is a certified lower bound for the
   largest modulus the connective may respect, so every emitted formula
   genuinely respects the weak modulus (not merely at grid resolution).
-  Tuples with atomics outside the linear family are skipped here and
-  served by the grid-certified respects-check instead;
-* each stream emits, per level, the single segments of the next data
-  height (rational anchors and endpoint values of bounded denominator)
-  followed by binary meets and joins of previously emitted items;
-  degenerate and slope-0 segments normalize to constants and duplicates
-  are dropped by printed form.
+  Tuples with atomics outside the linear family get no stream here and
+  are served by the grid-certified respects-check instead;
+* each stream is a generator that works through data heights h = 1, 2,
+  ...: the single segments of height h (rational anchors and endpoint
+  values of denominator at most h), then binary meets and joins whose
+  later operand was emitted at height h - 1; degenerate and slope-0
+  segments normalize to constants, which follow the other segments of
+  their height, and duplicates are dropped by printed form;
+* diagonal j opens the stream of the j-th tuple and then takes one item
+  from every open stream, oldest first.  Every height yields a new
+  constant, so streams never run dry and the family is infinite unless
+  no tuple has an induced modulus.
 
 With an empty pool (e.g. arity 1 over the empty signature) the family
 degenerates to constant formulas in height order.
@@ -31,7 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, count, islice, product
+from typing import Iterable, Iterator
 
 from .moduli import (
     Modulus,
@@ -67,6 +74,7 @@ from .syntax import (
 )
 
 METRIC = "d"
+MAX_TUPLE_LEN = 3  # atomics per connective
 
 
 # ---------------------------------------------------------------------------
@@ -155,123 +163,67 @@ def _height(x: Fraction) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Stream:
-    """Lazily materialized, deterministically ordered item list."""
+def _constants() -> Iterator[Formula]:
+    """The constant formulas in height order: the family of an empty pool."""
+    for h in count(1):
+        for q in unit_rationals(h):
+            if _height(q) == h:
+                yield ConstF(q)
 
-    atomics: tuple[Atomic, ...] | None  # None: constant fallback stream
-    delta: Modulus | None
-    items: list[Formula]
-    level: int
-    level_starts: list[int]
-    seen: set[str]
 
-    @classmethod
-    def for_tuple(cls, atomics: tuple[Atomic, ...], delta: Modulus) -> "_Stream":
-        return cls(atomics, delta, [], 0, [0], set())
-
-    @classmethod
-    def constants(cls) -> "_Stream":
-        return cls(None, None, [], 0, [0], set())
-
-    @classmethod
-    def empty(cls) -> "_Stream":
-        s = cls(None, None, [], 0, [0], set())
-        s.level = -1  # exhausted marker
-        return s
-
-    def _emit(self, phi: Formula) -> None:
-        key = print_formula(phi)
-        if key not in self.seen:
-            self.seen.add(key)
-            self.items.append(phi)
-
-    def _segment_formula(self, x: Vec, y: Vec, a: Fraction, b: Fraction) -> Formula | None:
-        assert self.delta is not None and self.atomics is not None
+def _singles(atomics: tuple[Atomic, ...], delta: Modulus, h: int) -> Iterator[Formula]:
+    """Single segments of data height h: nondegenerate ones as they are
+    built, then the constants that degenerate data normalizes to."""
+    k = delta.arity
+    consts: list[Formula] = []
+    for combo in product(unit_rationals(h), repeat=2 * k + 2):
+        if max(_height(c) for c in combo) != h:
+            continue
         try:
-            seg = make_segment(self.delta, x, y, a, b)
+            seg = make_segment(delta, combo[:k], combo[k : 2 * k], combo[2 * k], combo[2 * k + 1])
         except ValueError:
-            return None
+            continue
         if seg.degenerate or seg.a == seg.b:
-            return ConstF(seg.a)
-        return SegF(seg, tuple(self.atomics))
-
-    def _singles_of_height(self, h: int) -> list[Formula]:
-        assert self.delta is not None
-        k = self.delta.arity
-        vals = unit_rationals(h)
-        nondeg: list[Formula] = []
-        consts: list[Formula] = []
-        for combo in product(vals, repeat=2 * k + 2):
-            if max(_height(c) for c in combo) != h:
-                continue
-            x, y = combo[:k], combo[k : 2 * k]
-            a, b = combo[2 * k], combo[2 * k + 1]
-            phi = self._segment_formula(x, y, a, b)
-            if phi is None:
-                continue
-            (consts if isinstance(phi, ConstF) else nondeg).append(phi)
-        return nondeg + consts
-
-    def _advance(self) -> None:
-        """Materialize one more level."""
-        if self.level < 0:
-            return
-        L = self.level
-        self.level += 1
-        if self.atomics is None:
-            for q in unit_rationals(L + 1):
-                if _height(q) == L + 1:
-                    self._emit(ConstF(q))
-            self.level_starts.append(len(self.items))
-            return
-        for phi in self._singles_of_height(L + 1):
-            self._emit(phi)
-        if L >= 1:
-            lo, hi = self.level_starts[L - 1], self.level_starts[L]
-            for op in (MinF, MaxF):
-                for j in range(lo, hi):
-                    for i in range(j):
-                        self._emit(op((self.items[i], self.items[j])))
-        self.level_starts.append(len(self.items))
-
-    def get(self, idx: int) -> Formula | None:
-        if self.level < 0:
-            return None
-        guard = 0
-        while len(self.items) <= idx:
-            before = len(self.items)
-            self._advance()
-            guard = guard + 1 if len(self.items) == before else 0
-            if guard > 8:  # stalled stream; treat as exhausted
-                return None
-        return self.items[idx]
+            consts.append(ConstF(seg.a))
+        else:
+            yield SegF(seg, atomics)
+    yield from consts
 
 
-def _tuple_at(pool_size: int, j: int) -> tuple[int, ...] | None:
-    """j-th atomic-index tuple in (length, lex) order; None if pool empty."""
-    if pool_size == 0:
-        return None
-    k = 1
-    block = pool_size
-    while j >= block:
-        j -= block
-        k += 1
-        block = pool_size**k
-    idx = []
-    for _ in range(k):
-        idx.append(j % pool_size)
-        j //= pool_size
-    return tuple(reversed(idx))
+def _stream(atomics: tuple[Atomic, ...], delta: Modulus) -> Iterator[Formula]:
+    """The items of one tuple of atomics, height by height: the single
+    segments of height h, then the meets and the joins whose later operand
+    was emitted at height h - 1.  Duplicates are dropped by printed form.
+
+    Every height emits at least the new constant 1/h (a = b is valid for
+    any anchors), so the stream never runs dry."""
+    items: list[Formula] = []
+    seen: set[str] = set()
+
+    def fresh(phis: Iterable[Formula]) -> Iterator[Formula]:
+        for phi in phis:
+            key = print_formula(phi)
+            if key not in seen:
+                seen.add(key)
+                items.append(phi)
+                yield phi
+
+    lo = hi = 0  # items[lo:hi] were emitted at the previous height
+    for h in count(1):
+        start = len(items)
+        yield from fresh(_singles(atomics, delta, h))
+        for op in (MinF, MaxF):
+            yield from fresh(op((items[i], items[j])) for j in range(lo, hi) for i in range(j))
+        lo, hi = start, len(items)
 
 
 class FamilyEnumerator:
     """Deterministic cursor over the dense family at one arity.
 
-    ``max_tuple_len`` bounds the number of atomics per connective; data
-    heights and lattice sizes stay exhaustive in the limit, while longer
-    tuples would multiply segment data combinatorially for no practical
-    distinguishing power at this scale.
+    Connectives take at most ``MAX_TUPLE_LEN`` atomics; data heights and
+    lattice sizes stay exhaustive in the limit, while longer tuples would
+    multiply segment data combinatorially for no practical distinguishing
+    power at this scale.
     """
 
     def __init__(
@@ -280,17 +232,14 @@ class FamilyEnumerator:
         omega: SumWeakModulus,
         arity: int,
         term_depth: int = 1,
-        max_tuple_len: int = 3,
     ):
         self.signature = signature
         self.omega = omega
         self.arity = arity
-        self.max_tuple_len = max_tuple_len
         self.pool = atomic_pool(signature, arity, term_depth)
-        self._streams: list[_Stream] = []
         self._emitted: list[Formula] = []
-        self._diag = 0
         self._delta_cache: dict[tuple[Vec, ...], Modulus | None] = {}
+        self._members = self._diagonal()
 
     def _induced(self, atomics: tuple[Atomic, ...]) -> Modulus | None:
         rows = []
@@ -304,39 +253,30 @@ class FamilyEnumerator:
             self._delta_cache[key] = induced_modulus_exact(rows, self.omega)
         return self._delta_cache[key]
 
-    def _stream(self, j: int) -> _Stream:
-        while len(self._streams) <= j:
-            idx = len(self._streams)
-            if not self.pool:
-                self._streams.append(_Stream.constants() if idx == 0 else _Stream.empty())
-                continue
-            tup = _tuple_at(len(self.pool), idx)
-            if len(tup) > self.max_tuple_len:
-                self._streams.append(_Stream.empty())
-                continue
-            atomics = tuple(self.pool[i] for i in tup)
+    def _diagonal(self) -> Iterator[Formula]:
+        """Diagonal j opens a stream for the j-th tuple of atomics (in
+        length, then lexicographic order) if that tuple has an induced
+        modulus, then takes one item from every open stream, oldest first."""
+        if not self.pool:
+            yield from _constants()
+            return
+        streams: list[Iterator[Formula]] = []
+        tuples = chain.from_iterable(
+            product(self.pool, repeat=k) for k in range(1, MAX_TUPLE_LEN + 1)
+        )
+        for atomics in tuples:
             delta = self._induced(atomics)
-            if delta is None:
-                self._streams.append(_Stream.empty())
-            else:
-                self._streams.append(_Stream.for_tuple(atomics, delta))
-        return self._streams[j]
+            if delta is not None:
+                streams.append(_stream(atomics, delta))
+            for stream in streams:
+                yield next(stream)
+        while streams:
+            for stream in streams:
+                yield next(stream)
 
     def take(self, count: int) -> list[Formula]:
         """The first ``count`` family members, in enumeration order."""
-        stalled = 0
-        while len(self._emitted) < count:
-            D = self._diag
-            self._diag += 1
-            got_any = False
-            for j in range(D + 1):
-                phi = self._stream(j).get(D - j)
-                if phi is not None:
-                    self._emitted.append(phi)
-                    got_any = True
-            stalled = 0 if got_any else stalled + 1
-            if stalled > 64:  # every live stream exhausted; partial family
-                break
+        self._emitted.extend(islice(self._members, max(0, count - len(self._emitted))))
         return self._emitted[:count]
 
 
@@ -349,13 +289,12 @@ def enumerate_family(
     arity: int,
     count: int,
     term_depth: int = 1,
-    max_tuple_len: int = 3,
 ) -> list[Formula]:
     """First ``count`` members of the dense family at the given arity."""
-    key = (signature, omega, arity, term_depth, max_tuple_len)
+    key = (signature, omega, arity, term_depth)
     enum = _ENUM_CACHE.get(key)
     if enum is None:
-        enum = FamilyEnumerator(signature, omega, arity, term_depth, max_tuple_len)
+        enum = FamilyEnumerator(signature, omega, arity, term_depth)
         _ENUM_CACHE[key] = enum
     return enum.take(count)
 

@@ -60,6 +60,10 @@ from .syntax import (
 )
 
 
+MAX_DEPTH = 100  # syntax-tree levels; keeps every recursive walk of a parsed
+# formula (validation, evaluation, printing) well inside Python's stack
+
+
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{line}:{column}: {message}")
@@ -76,6 +80,21 @@ class Token:
 
 
 _PUNCT = "(),;./"
+
+
+def _nested(parse):
+    """Count one syntax-tree level around a recursive parse method."""
+
+    def method(self, *args):
+        if self.depth == MAX_DEPTH:
+            raise self.error(f"nesting deeper than {MAX_DEPTH} levels")
+        self.depth += 1
+        try:
+            return parse(self, *args)
+        finally:
+            self.depth -= 1
+
+    return method
 
 
 def tokenize(text: str) -> list[Token]:
@@ -128,6 +147,7 @@ class _Parser:
     def __init__(self, text: str, signature: Signature | None):
         self.toks = tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.sig = signature
 
     # -- plumbing
@@ -154,14 +174,21 @@ class _Parser:
         t = self.peek()
         return t.kind == "name" and t.text in names
 
+    def integer(self, t: Token, digits: str) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # past Python's limit on digits per int
+            raise ParseError(f"number too long ({len(digits)} digits)", t.line, t.column) from None
+
     # -- scalars
 
     def rational(self) -> Fraction:
         t = self.expect("int")
-        num = int(t.text)
+        num = self.integer(t, t.text)
         if self.peek().kind == "/":
             self.next()
-            den = int(self.expect("int").text)
+            d = self.expect("int")
+            den = self.integer(d, d.text)
             if den == 0:
                 raise ParseError("zero denominator", t.line, t.column)
             return Fraction(num, den)
@@ -200,6 +227,7 @@ class _Parser:
 
     # -- moduli
 
+    @_nested
     def modulus(self, expected_arity: int | None = None) -> Modulus:
         t = self.expect("name")
         try:
@@ -227,7 +255,8 @@ class _Parser:
             if t.text == "zero":
                 if self.peek().kind == "(":
                     self.next()
-                    n = int(self.expect("int").text)
+                    nt = self.expect("int")
+                    n = self.integer(nt, nt.text)
                     self.expect(")")
                     return Zero(n)
                 if expected_arity is None:
@@ -271,11 +300,12 @@ class _Parser:
 
     # -- terms
 
+    @_nested
     def term(self) -> Term:
         t = self.expect("name")
         span = (t.line, t.column)
         if t.text.startswith("v") and t.text[1:].isdigit():
-            return Var(int(t.text[1:]), span=span)
+            return Var(self.integer(t, t.text[1:]), span=span)
         if self.peek().kind == "(":
             self.next()
             args = [self.term()]
@@ -288,6 +318,7 @@ class _Parser:
 
     # -- formulas
 
+    @_nested
     def formula(self) -> Formula:
         t = self.peek()
         span = (t.line, t.column)
@@ -299,7 +330,7 @@ class _Parser:
             self.expect(".")
             body = self.formula()
             cls = Sup if kw.text == "sup" else Inf
-            return cls(int(v.text[1:]), body, span=span)
+            return cls(self.integer(v, v.text[1:]), body, span=span)
         if self.at_name("latmin", "latmax"):
             kw = self.next()
             self.expect("(")
@@ -398,14 +429,17 @@ def parse_formula_file(text: str, signature: Signature | None = None) -> Formula
     supplied (it re-declares the symbols the formula relies on)."""
     if "[formula]" not in text:
         return parse_formula(text, signature)
-    from .structures import parse_structure  # deferred; structures imports us
+    from .structures import StructureFormatError, parse_structure  # deferred; structures imports us
 
     head, _, body = text.partition("[formula]")
     if "[signature]" in head:
         shim = head.strip() + "\n[points]\n_p\n[metric]\n"
         if not shim.startswith("mscott/"):
             shim = "mscott/1\n" + shim
-        declared = parse_structure(shim).signature
+        try:
+            declared = parse_structure(shim).signature
+        except StructureFormatError as exc:
+            raise ParseError(f"formula file signature: {exc}", 1, 1) from exc
         if signature is not None and declared != signature:
             raise ParseError(
                 "formula file signature does not match the structure's signature", 1, 1

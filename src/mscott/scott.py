@@ -161,14 +161,18 @@ class BFEngine:
             )
         return self._families[n]
 
-    def _formula_rows(self, n: int, values: dict[Fraction, int]) -> np.ndarray:
-        """Value codes of the distinct family rows over all n-tuples.
+    def _formula_rows(
+        self, n: int, values: dict[Fraction, int], tuples: list[tuple[str, ...]] | None = None
+    ) -> np.ndarray:
+        """Value codes of the distinct family rows over ``tuples`` (all
+        n-tuples by default).
 
         ``values`` maps each value to its code and gives unseen values the
         next code.  Each connective is evaluated once per distinct tuple
         of atom values; those tuples are found once per tuple of atomics."""
         ev = Evaluator(self.s)
-        tuples = self.tuples(n)
+        if tuples is None:
+            tuples = self.tuples(n)
 
         def codes(vs) -> np.ndarray:
             return np.array([values.setdefault(v, len(values)) for v in vs], dtype=np.intp)
@@ -283,10 +287,11 @@ class BFEngine:
         if len(a) != len(b):
             raise ValueError("tuples must have equal length")
         n = len(a)
-        family = self.family(n)
-        ev = Evaluator(self.s)
-        best = max((abs(ev.formula(phi, a) - ev.formula(phi, b)) for phi in family), default=ZERO)
-        meta: dict = {"family_size": len(family), "arity": n}
+        values: dict[Fraction, int] = {}
+        rows = self._formula_rows(n, values, [a, b])
+        value_of = list(values)  # codes are given in insertion order
+        best = max((abs(value_of[i] - value_of[j]) for i, j in rows), default=ZERO)
+        meta: dict = {"family_size": len(self.family(n)), "arity": n}
         sig = self.s.signature
         if not sig.relations and not sig.functions and not sig.constants:
             oracle = ZERO
@@ -311,6 +316,8 @@ class BFEngine:
         checkable = min(
             self.config.stage_cap - 1, self.cap - max_arity - 1
         )
+        if max_arity < 1 or checkable < 0:
+            checkable = -1  # no (arity, stage) pair to compare
         stable: dict[tuple[int, int], bool] = {}
         rank: int | None = None
         for alpha in range(checkable + 1):
@@ -323,7 +330,7 @@ class BFEngine:
                 rank = alpha
         return RankReport(
             rank=rank,
-            definitive=rank is not None and bool(stable),
+            definitive=rank is not None,
             checkable_stages=checkable,
             stable=stable,
             meta=self.config.meta(self.cap) | {"structure": self.s.name},

@@ -279,6 +279,12 @@ def parse_structure(text: str, name: str = "") -> PreStructure:
     const_map: dict[str, str] = {}
     seen_heads: set[str] = set()
 
+    def parse_arity(no: int, text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise StructureFormatError(f"line {no}: bad arity {text!r}") from None
+
     def parse_mod(no: int, arity: int, text: str) -> Modulus:
         try:
             m = parse_modulus(text, expected_arity=arity)
@@ -292,6 +298,8 @@ def parse_structure(text: str, name: str = "") -> PreStructure:
 
     for no, head, inline, body in sections:
         words = head.split()
+        if not words:
+            raise StructureFormatError(f"line {no}: empty section header")
         key = head
         if words[0] in ("rel", "fun", "const") and len(words) == 2:
             key = f"{words[0]} {words[1]}"
@@ -303,9 +311,11 @@ def parse_structure(text: str, name: str = "") -> PreStructure:
             for bno, line in body:
                 w = line.split(None, 3)
                 if w[0] == "rel" and len(w) == 4:
-                    relations.append(RelationSymbol(w[1], int(w[2]), parse_mod(bno, int(w[2]), w[3])))
+                    arity = parse_arity(bno, w[2])
+                    relations.append(RelationSymbol(w[1], arity, parse_mod(bno, arity, w[3])))
                 elif w[0] == "fun" and len(w) == 4:
-                    functions.append(FunctionSymbol(w[1], int(w[2]), parse_mod(bno, int(w[2]), w[3])))
+                    arity = parse_arity(bno, w[2])
+                    functions.append(FunctionSymbol(w[1], arity, parse_mod(bno, arity, w[3])))
                 elif w[0] == "const" and len(w) == 2:
                     constants.append(w[1])
                 else:

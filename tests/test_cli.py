@@ -253,7 +253,45 @@ def test_fixpoint_tiny_thresholds_exact():
         ["dense-family", "--arity", "1", "--count", "-5"],
         ["scott-rank", str(DATA / "three_point.ms"), "--max-arity", "0", "--table-cap", "1"],
         ["fixpoint", str(DATA / "three_point.ms"), "--q", "1/10", "--max-arity", "0"],
+        ["scott-rank", str(DATA / "three_point.ms"), "--stage-cap", "0"],
+        ["fixpoint", str(DATA / "three_point.ms"), "--q", "1/10", "--stage-cap", "-1"],
+        ["fixpoint", str(DATA / "three_point.ms"), "--q", "1/10", "--limit", "-3"],
     ],
 )
 def test_out_of_range_option_is_usage_error(args):
     run_cli(*args, expect=2)
+
+
+def test_scott_rank_without_compared_stages():
+    args = ("scott-rank", str(DATA / "three_point.ms"), "--max-arity", "1", "--table-cap", "1")
+    out = run_cli(*args)
+    assert out == "no rank: no stage pair fits table cap 1; raise --table-cap\n"
+    payload = json.loads(run_cli(*args, "--json"))
+    assert payload["rank"] is None and payload["checkable_stages"] == -1
+    assert not payload["definitive"]
+
+
+def _nested_latmin(depth):
+    return "latmin(" * depth + "d(v0, v1)" + ")" * depth
+
+
+def test_eval_deep_nesting_is_a_parse_error():
+    proc = subprocess.run(
+        [sys.executable, "-m", "mscott", "eval", str(DATA / "three_point.ms"),
+         _nested_latmin(2000), "x,y"],
+        capture_output=True,
+        text=True,
+        cwd=PKG_ROOT,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: formula: 1:")
+    assert "nesting deeper than" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_eval_at_the_nesting_limit():
+    from mscott.parser import MAX_DEPTH
+
+    # latmin levels, the atomic, and its terms: MAX_DEPTH syntax-tree levels
+    out = run_cli("eval", str(DATA / "three_point.ms"), _nested_latmin(MAX_DEPTH - 2), "x,y")
+    assert out == "1/5\n"
+    run_cli("eval", str(DATA / "three_point.ms"), _nested_latmin(MAX_DEPTH - 1), "x,y", expect=1)

@@ -19,6 +19,18 @@ CASES = [
         "dense_family_arity2_count20.txt",
         ["dense-family", "--arity", "2", "--count", "20"],
     ),
+    *(
+        (
+            f"dense_family_arity{n}_count200.txt",
+            ["dense-family", "--arity", str(n), "--count", "200"],
+        )
+        for n in (1, 2, 3, 4)
+    ),
+    (
+        "dense_family_rel_demo_arity2_count200.txt",
+        ["dense-family", "--signature", str(DATA / "rel_demo.ms"),
+         "--arity", "2", "--count", "200"],
+    ),
     (
         "fixpoint_three_point_q1_10.json",
         ["fixpoint", str(DATA / "three_point.ms"), "--q", "1/10",

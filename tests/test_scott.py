@@ -7,7 +7,7 @@ import pytest
 from mscott.evaluation import Evaluator
 from mscott.rationals import lcm_denominator
 from mscott.scott import BFEngine, EngineConfig
-from mscott.structures import PreStructure, automorphisms, build_metric, validate
+from mscott.structures import PreStructure, automorphisms, build_metric, load_structure, validate
 from mscott.syntax import Signature
 
 from conftest import codebook_numerators
@@ -216,13 +216,19 @@ def test_table_window_errors(three_engine):
         three_engine.value(0, ("x",), ("y", "z"))
 
 
-def test_r0_pair_agrees_with_table_route(three_engine):
-    # r0_pair evaluates formulas directly; the tables go through the
-    # integer-matrix build.  The two routes must agree on every pair.
-    for a in three_engine.tuples(2):
-        for b in three_engine.tuples(2):
-            direct, _ = three_engine.r0_pair(a, b)
-            assert direct == three_engine.value(0, a, b)
+def test_r0_pair_agrees_with_table_route(data_dir):
+    # r0_pair and the stage-0 tables share one row route; the independent
+    # reference is the tree-walking Evaluator maximum over the family.
+    for name in ("three_point", "rel_demo"):
+        s = load_structure(data_dir / f"{name}.ms")
+        engine = BFEngine(s, config=EngineConfig(family_size=60, max_arity=2, table_cap=2))
+        ev = Evaluator(s)
+        for n in (1, 2):
+            family = engine.family(n)
+            for a in engine.tuples(n):
+                for b in engine.tuples(n):
+                    direct = max(abs(ev.formula(phi, a) - ev.formula(phi, b)) for phi in family)
+                    assert engine.r0_pair(a, b)[0] == direct == engine.value(0, a, b)
 
 
 def gamma_fixpoint_oracle(engine, q):
@@ -317,3 +323,4 @@ def test_rank_not_definitive_without_checked_tables(three_point):
     report = eng.scott_rank()
     assert report.stable == {}
     assert not report.definitive
+    assert report.rank is None and report.checkable_stages == -1

@@ -1,11 +1,14 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mscott.moduli import Linear, Zero, check_modulus
 from mscott.parser import (
     ParseError,
     parse_formula,
+    parse_formula_file,
     parse_modulus,
     parse_term,
     print_formula,
@@ -13,6 +16,7 @@ from mscott.parser import (
     print_term,
 )
 from mscott.rationals import RatGrid
+from mscott.structures import StructureFormatError, parse_structure
 from mscott.syntax import (
     Atomic,
     ConstF,
@@ -183,3 +187,48 @@ def test_canonical_modulus_always_checks():
     for text in ["d(v0, v0)", "latmin(R(v0), const(1/2))", "pwl((0,0),(1/3,1),(1,1); R(v0))"]:
         m = canonical_modulus(parse_formula(text, SIG), SIG, 1)
         assert check_modulus(m, grid).passed
+
+
+# Grammar fragments, so that random text also reaches the deeper branches.
+_FORMULA_BITS = [
+    "d(", "R(", "f(", "v0", "v1", "v99", "c", "x", "(", ")", ",", ";", ".", "/", "-",
+    "0", "1", "2", "1/2", "0/0", "-1", "9" * 5000, "sup ", "inf ", "latmin(", "latmax(",
+    "const(", "pwl(", "seg(", "linear(", "capped(", "zero", "zero(", "maxof(",
+    "polymax(", "compose(", "(0,0)", "(1,1)", "(0)", "(1)", " ", "\n", "#",
+    "[formula]", "[signature]", "rel R 1 linear(1)\n",
+]
+_STRUCTURE_LINES = [
+    "[signature]", "[points]",
+    "[metric]", "[rel R]", "[fun f]", "[const c] p", "[const c]", "[]", "[", "[x",
+    "rel R 1 linear(1)", "rel R x linear(1)", "rel R -1 zero", "rel R 1 maxof(",
+    "rel R 2 linear(1)", "fun f 1 linear(1)", "fun f 0 zero(0)", "const c", "const",
+    "p q", "p", "0", "1/2", "1/0", "x", "-1", "p 1/2", "p q", "p", "# note", "",
+]
+
+
+@given(st.one_of(
+    st.text(max_size=60),
+    st.lists(st.sampled_from(_FORMULA_BITS), max_size=30).map("".join),
+))
+@settings(max_examples=300, deadline=None)
+def test_parse_formula_fuzz_raises_only_parse_errors(text):
+    for signature in (None, SIG):
+        for parse in (parse_formula, parse_formula_file):
+            try:
+                parse(text, signature)
+            except ParseError:
+                pass
+
+
+@given(st.one_of(
+    st.text(max_size=60),
+    st.lists(st.sampled_from(_STRUCTURE_LINES), max_size=12).map(
+        lambda lines: "\n".join(["mscott/1", *lines])
+    ),
+))
+@settings(max_examples=300, deadline=None)
+def test_parse_structure_fuzz_raises_only_format_errors(text):
+    try:
+        parse_structure(text)
+    except StructureFormatError:
+        pass
