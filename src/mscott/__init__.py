@@ -45,7 +45,7 @@ from .parser import (
     print_modulus,
     print_term,
 )
-from .rationals import RatGrid, Rational, clamp_unit, format_rational, grid_points, parse_rational
+from .rationals import RatGrid, clamp_unit, format_rational, grid_points, parse_rational
 from .scott import BFEngine, EngineConfig, EquivalenceReport, FixpointTrace, RankReport
 from .segments import (
     ApproximationResult,
@@ -81,10 +81,10 @@ from .syntax import (
     SegF,
     Signature,
     Sup,
+    basic_atomics,
     canonical_modulus,
     formula_free_vars,
     is_basic,
-    normalize_basic,
 )
 
 __version__ = "0.1.0"

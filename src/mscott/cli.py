@@ -21,7 +21,7 @@ from .family import enumerate_family
 from .moduli import largest_modulus_below, weak_modulus
 from .parser import ParseError, parse_formula, parse_formula_file, print_formula
 from .rationals import ONE, RatGrid, format_rational, parse_rational
-from .scott import BFEngine, EngineConfig
+from .scott import BFEngine, EngineConfig, TableBudgetError
 from .structures import (
     PreStructure,
     StructureFormatError,
@@ -288,9 +288,14 @@ def cmd_ralpha(structure: str, stage: int, arity: int, family: int,
         s,
         config=EngineConfig(family_size=family, max_arity=arity, stage_cap=max(stage, 1), table_cap=cap),
     )
-    rows = []
-    for a, b, v in engine.pairs(arity, stage):
-        rows.append({"a": list(a), "b": list(b), "value": format_rational(v)})
+    try:
+        rows = [
+            {"a": list(a), "b": list(b), "value": format_rational(v)}
+            for a, b, v in engine.pairs(arity, stage)
+        ]
+    except TableBudgetError as exc:
+        _fail(str(exc))
+        return
     payload = {
         "command": "ralpha",
         "structure": s.name,
@@ -317,7 +322,11 @@ def cmd_scott_rank(structure: str, max_arity: int, family: int, stage_cap: int,
     """Least stage at which the computed stage tables stabilize."""
     s = _load(structure)
     engine = BFEngine(s, config=_config(family, max_arity, stage_cap, table_cap))
-    report = engine.scott_rank()
+    try:
+        report = engine.scott_rank()
+    except TableBudgetError as exc:
+        _fail(str(exc))
+        return
     payload = {
         "command": "scott-rank",
         "structure": s.name,
@@ -359,7 +368,11 @@ def cmd_fixpoint(structure: str, q_text: str, stage_cap: int, max_arity: int,
     if q <= 0:
         _fail("--q must be positive")
     engine = BFEngine(s, config=_config(family, max_arity, stage_cap, table_cap))
-    trace = engine.gamma_fixpoint(q)
+    try:
+        trace = engine.gamma_fixpoint(q)
+    except TableBudgetError as exc:
+        _fail(str(exc))
+        return
     entries = []
     for n in range(1, engine.cap + 1):
         tuples = engine.tuples(n)

@@ -25,8 +25,7 @@ from .syntax import (
     Sup,
     Term,
     Var,
-    formula_free_vars,
-    normalize_basic,
+    basic_atomics,
     eval_connective,
 )
 
@@ -111,12 +110,10 @@ def eval_formula(phi: Formula, s: PreStructure, point_tuple: tuple[str, ...]) ->
 def eval_formula_normalized(
     phi: Formula, s: PreStructure, point_tuple: tuple[str, ...]
 ) -> Fraction:
-    """Second evaluation route through the flattened connective-over-atomics
-    form; must agree with the tree walk exactly on basic formulas."""
-    expr, atomics = normalize_basic(phi)
+    """Second evaluation route: the connective evaluated at the atomics'
+    values; must agree with the tree walk exactly on basic formulas."""
     ev = Evaluator(s)
-    z = tuple(ev.formula(a, point_tuple) for a in atomics)
-    return eval_connective(expr, z)
+    return eval_connective(phi, {a: ev.formula(a, point_tuple) for a in basic_atomics(phi)})
 
 
 def subset_density(s: PreStructure, subset: tuple[str, ...]) -> Fraction:
@@ -154,8 +151,3 @@ def eval_dense_agreement(
     sub_val = Evaluator(s, domain=subset).formula(phi, point_tuple)
     full_val = Evaluator(s).formula(phi, point_tuple)
     return sub_val, full_val
-
-
-def formula_arity(phi: Formula) -> int:
-    fv = formula_free_vars(phi)
-    return (max(fv) + 1) if fv else 0

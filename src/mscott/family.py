@@ -16,8 +16,8 @@ formulas in v0..v_{n-1}:
   atomic moduli.  That closed form is a certified lower bound for the
   largest modulus the connective may respect, so every emitted formula
   genuinely respects the weak modulus (not merely at grid resolution).
-  Tuples with atomics outside the linear family get no stream here and
-  are served by the grid-certified respects-check instead;
+  Tuples with an atomic outside the linear family get no stream and are
+  skipped; enumeration never calls the grid-resolution respects-check;
 * each stream is a generator that works through data heights h = 1, 2,
   ...: the single segments of height h (rational anchors and endpoint
   values of denominator at most h), then binary meets and joins whose
@@ -64,12 +64,11 @@ from .syntax import (
     Term,
     Var,
     SegF,
+    basic_atomics,
     canonical_modulus,
     eval_connective,
     formula_free_vars,
     is_basic,
-    normalize_basic,
-    substitute_constants,
     term_size,
 )
 
@@ -359,34 +358,32 @@ def respects_weak_modulus(
     if not is_basic(phi):
         raise ValueError("the respects-check applies to basic formulas")
     step = Fraction(step)
-    expr, atomics = normalize_basic(phi)
     fv = formula_free_vars(phi)
     n = (max(fv) + 1) if fv else 1
+    pinned: dict[Atomic, Fraction] = {}
+    kept: list[Atomic] = []
     deltas: list[Modulus] = []
-    pinned: dict[int, Fraction] = {}
-    kept: list[Modulus] = []
-    for i, a in enumerate(atomics):
+    for a in basic_atomics(phi):
         m = canonical_modulus(a, signature, n)
         if is_zero_modulus(m):
             if a.relation == METRIC and a.args[0] == a.args[1]:
-                pinned[i] = ZERO
+                pinned[a] = ZERO
             else:
                 raise ValueError(
                     f"atomic {print_formula(a)} has zero modulus with a "
                     "structure-dependent value; substitute its constant first"
                 )
         else:
-            kept.append(m)
-    if pinned:
-        expr = substitute_constants(expr, pinned)
+            kept.append(a)
+            deltas.append(m)
     if not kept:
         return RespectReport(True, None, None, step, k_max, len(pinned))
     k = len(kept)
     n_grid = RatGrid(n, step, ONE)
-    induced = induced_connective_modulus(kept, omega, k_max, n_grid)
+    induced = induced_connective_modulus(deltas, omega, k_max, n_grid)
     check = RatGrid(k, step, ONE)
     pts = list(check.points())
-    uvals = {z: eval_connective(expr, z) for z in pts}
+    uvals = {z: eval_connective(phi, pinned | dict(zip(kept, z))) for z in pts}
     bound_cache: dict[Vec, Fraction] = {}
     for z in pts:
         for w in pts:

@@ -313,6 +313,11 @@ def projection(n: int, i: int) -> Linear:
     return Linear(tuple(ONE if j == i else ZERO for j in range(n)))
 
 
+def _compose_rows(outer: Vec, inners: Sequence[Vec], n: int) -> Vec:
+    """The n-ary row of x |-> outer . (inner_i . x)_i."""
+    return tuple(sum((c * row[j] for c, row in zip(outer, inners)), ZERO) for j in range(n))
+
+
 def simplify_modulus(m: Modulus) -> Modulus:
     """Collapse compositions of linear-family forms; semantics-preserving."""
     if isinstance(m, Compose):
@@ -336,33 +341,14 @@ def simplify_modulus(m: Modulus) -> Modulus:
                 rows.append(None)
         if all(r is not None for r in rows):
             if isinstance(outer, Linear):
-                combined = tuple(
-                    sum((c * row[j] for c, row in zip(outer.coeffs, rows)), ZERO)
-                    for j in range(n)
-                )
-                lin = Linear(combined)
+                lin = Linear(_compose_rows(outer.coeffs, rows, n))
                 return Zero(n) if is_zero_modulus(lin) else lin
             if isinstance(outer, CappedLinear):
-                combined = tuple(
-                    sum((c * row[j] for c, row in zip(outer.coeffs, rows)), ZERO)
-                    for j in range(n)
-                )
-                return CappedLinear(outer.cap, combined)
+                return CappedLinear(outer.cap, _compose_rows(outer.coeffs, rows, n))
             if isinstance(outer, PiecewiseConcave):
-                combined = tuple(
-                    sum((c * row[j] for c, row in zip(outer.coeffs, rows)), ZERO)
-                    for j in range(n)
-                )
-                return PiecewiseConcave(outer.breakpoints, combined)
+                return PiecewiseConcave(outer.breakpoints, _compose_rows(outer.coeffs, rows, n))
             if isinstance(outer, PolyhedralMax):
-                new_rows = tuple(
-                    tuple(
-                        sum((c * row[j] for c, row in zip(prow, rows)), ZERO)
-                        for j in range(n)
-                    )
-                    for prow in outer.rows
-                )
-                return PolyhedralMax(new_rows)
+                return PolyhedralMax(tuple(_compose_rows(prow, rows, n) for prow in outer.rows))
         return Compose(outer, inners)
     if isinstance(m, Linear) and is_zero_modulus(m):
         return Zero(m.arity)
@@ -396,11 +382,7 @@ def linear_upper_row(m: Modulus) -> Vec | None:
         inner_rows = [linear_upper_row(i) for i in m.inners]
         if outer_row is None or any(r is None for r in inner_rows):
             return None
-        n = m.arity
-        return tuple(
-            sum((c * row[j] for c, row in zip(outer_row, inner_rows)), ZERO)
-            for j in range(n)
-        )
+        return _compose_rows(outer_row, inner_rows, m.arity)
     return None
 
 
@@ -499,9 +481,6 @@ class SumWeakModulus:
         return Linear((self.scale,) * n)
 
 
-WeakModulus = SumWeakModulus
-
-
 def weak_modulus(name: str) -> SumWeakModulus:
     """Look up a shipped weak modulus by name (CLI surface)."""
     if name == "sum":
@@ -535,10 +514,6 @@ class NiceDomain:
     def contains(self, x: Sequence[Fraction]) -> bool:
         xs = tuple(Fraction(v) for v in x)
         return all(v >= 0 for v in xs) and any(vec_le(xs, b) for b in self.boxes)
-
-
-def full_domain(arity: int, bound: Fraction) -> NiceDomain:
-    return NiceDomain(arity, ((Fraction(bound),) * arity,))
 
 
 # ---------------------------------------------------------------------------
@@ -686,9 +661,6 @@ class EnvelopeTable(Modulus):
                 f"{format_vec(xs)} not coverable by {self.k_max} sample points"
             )
         return v
-
-    def value_at(self, p: Sequence[Fraction]) -> Fraction:
-        return self(tuple(Fraction(x) for x in p))
 
     def table(self) -> tuple[tuple[Vec, Fraction], ...]:
         """Envelope values at the sample points, sorted."""

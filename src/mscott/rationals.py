@@ -12,21 +12,10 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 Vec = tuple[Fraction, ...]
-
-
-def rat(num: int | str | Fraction, den: int | None = None) -> Fraction:
-    """Build an exact rational; ``rat("2/3")``, ``rat(2, 3)`` and ``rat(2)`` all work."""
-    if den is not None:
-        return Fraction(num, den)
-    if isinstance(num, str):
-        return parse_rational(num)
-    return Fraction(num)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -71,10 +60,6 @@ def require_unit(x: Fraction | int, what: str = "value") -> Fraction:
     if not is_unit(x):
         raise ValueError(f"{what} must lie in [0,1], got {format_rational(x)}")
     return x
-
-
-def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
 def vec_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:

@@ -41,9 +41,17 @@ from .family import family_stack
 from .moduli import SumWeakModulus
 from .rationals import ZERO, format_rational, lcm_denominator
 from .structures import PreStructure
-from .syntax import Atomic, Formula, eval_connective, normalize_basic
+from .syntax import Atomic, Formula, basic_atomics, eval_connective
 
 _AUTO_TUPLE_BUDGET = 2000  # top-arity tuple count the auto cap will allow
+# Stage-0 cells a window may hold, checked before any table exists.  A
+# built table keeps one byte per cell, but building turns each table into
+# an 8-byte index once (``used[table]``, ``code[table]``).
+MAX_TABLE_CELLS = 2**26
+
+
+class TableBudgetError(ValueError):
+    """The stage tables of the window would exceed ``MAX_TABLE_CELLS``."""
 
 
 @dataclass(frozen=True)
@@ -182,7 +190,7 @@ class BFEngine:
         points: dict[tuple[Atomic, ...], tuple[list[tuple[Fraction, ...]], np.ndarray]] = {}
         rows: dict[bytes, np.ndarray] = {}
         for phi in self.family(n):
-            expr, atomics = normalize_basic(phi)
+            atomics = basic_atomics(phi)
             if atomics not in points:
                 for a in atomics:
                     if a not in atom_cols:
@@ -192,7 +200,7 @@ class BFEngine:
                 _, first, inverse = np.unique(keys.T, axis=0, return_index=True, return_inverse=True)
                 points[atomics] = ([tuple(c[i] for c in cols) for i in first], inverse.reshape(-1))
             zs, inverse = points[atomics]
-            row = codes(eval_connective(expr, z) for z in zs)[inverse]
+            row = codes(eval_connective(phi, dict(zip(atomics, z))) for z in zs)[inverse]
             rows.setdefault(row.tobytes(), row)
         return np.array(list(rows.values()), dtype=np.intp).reshape(len(rows), len(tuples))
 
@@ -204,6 +212,13 @@ class BFEngine:
         all differences, a table is a max of ``diff`` entries."""
         if self._built:
             return
+        m = len(self.s.points)
+        cells = sum(m ** (2 * n) for n in range(1, self.cap + 1))
+        if cells > MAX_TABLE_CELLS:
+            raise TableBudgetError(
+                f"the stage-0 tables of arities 1..{self.cap} would hold {cells:,} "
+                f"cells, past the limit of {MAX_TABLE_CELLS:,}; lower the table cap"
+            )
         values: dict[Fraction, int] = {}
         rows = {n: self._formula_rows(n, values) for n in range(1, self.cap + 1)}
         # Differences are ranked as integers over the values' common

@@ -10,7 +10,7 @@ uniform norm at grid scale, among all functions respecting the modulus.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -41,39 +41,36 @@ class SegmentConnective:
     y: Vec
     a: Fraction
     b: Fraction
+    span: Fraction = field(init=False, compare=False, repr=False)  # D(pi(y - x))
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", tuple(Fraction(v) for v in self.x))
         object.__setattr__(self, "y", tuple(Fraction(v) for v in self.y))
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "b", Fraction(self.b))
+        object.__setattr__(self, "span", self.delta(pi_fold(vec_sub(self.y, self.x))))
 
     @property
     def arity(self) -> int:
         return self.delta.arity
 
-    def span(self) -> Fraction:
-        return self.delta(pi_fold(vec_sub(self.y, self.x)))
-
     @property
     def degenerate(self) -> bool:
-        return self.span() == 0
+        return self.span == 0
 
     def slope(self) -> Fraction:
         """(b - a) / D(y - x); only for nondegenerate segments."""
-        s = self.span()
-        if s == 0:
+        if self.span == 0:
             raise ValueError("degenerate segment has no slope")
-        return (self.b - self.a) / s
+        return (self.b - self.a) / self.span
 
     def __call__(self, z: Sequence[Fraction]) -> Fraction:
         zs = tuple(Fraction(v) for v in z)
         if len(zs) != self.arity:
             raise ValueError(f"segment of arity {self.arity} applied to {len(zs)} args")
-        s = self.span()
-        if s == 0:
+        if self.span == 0:
             return self.a
-        rise = (self.b - self.a) * self.delta(pi_fold(vec_sub(zs, self.x))) / s
+        rise = (self.b - self.a) * self.delta(pi_fold(vec_sub(zs, self.x))) / self.span
         return min(ONE, self.a + rise)
 
 
@@ -94,20 +91,20 @@ def make_segment(
     b = require_unit(Fraction(b), "b")
     if a > b:
         raise ValueError(f"need a <= b, got a={format_rational(a)} > b={format_rational(b)}")
-    span = delta(pi_fold(vec_sub(ys, xs)))
-    if span == 0:
+    seg = SegmentConnective(delta, xs, ys, a, b)
+    if seg.span == 0:
         if a != b:
             raise ValueError(
                 "anchors are modulus-indistinguishable "
                 f"(D(pi(y-x)) = 0) so a = b is required; got "
                 f"a={format_rational(a)}, b={format_rational(b)}"
             )
-    elif b > a + span:
+    elif b > a + seg.span:
         raise ValueError(
             f"side condition violated: b = {format_rational(b)} > "
-            f"{format_rational(a)} + {format_rational(span)} = a + D(pi(y-x))"
+            f"{format_rational(a)} + {format_rational(seg.span)} = a + D(pi(y-x))"
         )
-    return SegmentConnective(delta, xs, ys, a, b)
+    return seg
 
 
 def segment_norm_bound(

@@ -3,8 +3,8 @@
 Formulas are built from atomics by exactly-evaluable connectives
 (constants, piecewise-linear reshaping, lattice min/max, and segment
 connectives) plus sup/inf quantifiers.  Basic formulas are the
-quantifier-free ones; they normalize to a single connective expression
-over their distinct atomic subformulas.
+quantifier-free ones; each is a connective applied to its distinct
+atomic subformulas, and ``eval_connective`` evaluates it at their values.
 
 Every term and formula carries a canonically associated modulus over its
 free-variable coordinates, computed compositionally:
@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from .moduli import (
     CappedLinear,
@@ -40,7 +40,7 @@ from .moduli import (
     projection,
     simplify_modulus,
 )
-from .rationals import ONE, Vec, require_unit
+from .rationals import ONE, require_unit
 from .segments import SegmentConnective
 
 METRIC_SYMBOL = "d"
@@ -394,115 +394,34 @@ def canonical_modulus(x: Term | Formula, sig: Signature, n: int | None = None) -
 
 
 # ---------------------------------------------------------------------------
-# Normalization of basic formulas
+# Basic formulas as connectives over their atomics
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProjC:
-    index: int
-
-
-@dataclass(frozen=True)
-class ConstC:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class MinC:
-    items: tuple["ConnExpr", ...]
-
-
-@dataclass(frozen=True)
-class MaxC:
-    items: tuple["ConnExpr", ...]
-
-
-@dataclass(frozen=True)
-class PwlC:
-    breakpoints: tuple[tuple[Fraction, Fraction], ...]
-    arg: "ConnExpr"
-
-
-@dataclass(frozen=True)
-class SegC:
-    segment: SegmentConnective
-    args: tuple["ConnExpr", ...]
-
-
-ConnExpr = ProjC | ConstC | MinC | MaxC | PwlC | SegC
-
-
-def eval_connective(expr: ConnExpr, z: Vec) -> Fraction:
-    """Exact evaluation of a flattened connective at a point of [0,1]^k."""
-    if isinstance(expr, ProjC):
-        return z[expr.index]
-    if isinstance(expr, ConstC):
-        return expr.value
-    if isinstance(expr, MinC):
-        return min(eval_connective(e, z) for e in expr.items)
-    if isinstance(expr, MaxC):
-        return max(eval_connective(e, z) for e in expr.items)
-    if isinstance(expr, PwlC):
-        t = eval_connective(expr.arg, z)
-        for (x0, y0), (x1, y1) in zip(expr.breakpoints, expr.breakpoints[1:]):
-            if t <= x1:
-                return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
-        return expr.breakpoints[-1][1]
-    if isinstance(expr, SegC):
-        return expr.segment(tuple(eval_connective(e, z) for e in expr.args))
-    raise TypeError(type(expr))
-
-
-def substitute_constants(expr: ConnExpr, values: dict[int, Fraction]) -> ConnExpr:
-    """Pin selected coordinates of a connective to constants (the
-    constant-substitution reduction for zero-modulus atomics)."""
-    if isinstance(expr, ProjC):
-        if expr.index in values:
-            return ConstC(values[expr.index])
-        shift = sum(1 for i in values if i < expr.index)
-        return ProjC(expr.index - shift)
-    if isinstance(expr, ConstC):
-        return expr
-    if isinstance(expr, MinC):
-        return MinC(tuple(substitute_constants(e, values) for e in expr.items))
-    if isinstance(expr, MaxC):
-        return MaxC(tuple(substitute_constants(e, values) for e in expr.items))
-    if isinstance(expr, PwlC):
-        return PwlC(expr.breakpoints, substitute_constants(expr.arg, values))
-    if isinstance(expr, SegC):
-        return SegC(expr.segment, tuple(substitute_constants(e, values) for e in expr.args))
-    raise TypeError(type(expr))
-
-
-def normalize_basic(phi: Formula) -> tuple[ConnExpr, tuple[Atomic, ...]]:
-    """Flatten a basic formula to one connective over its distinct atomics.
-
-    Evaluating the connective at the atomic values reproduces the
-    formula's value exactly at every point of every structure."""
+def basic_atomics(phi: Formula) -> tuple[Atomic, ...]:
+    """The distinct atomic subformulas of a basic formula, in order of
+    first occurrence: the coordinates of its connective."""
     if not is_basic(phi):
-        raise ValueError("normalize_basic only accepts quantifier-free formulas")
-    atomics: list[Atomic] = []
-    index: dict[Atomic, int] = {}
+        raise ValueError("basic_atomics only accepts quantifier-free formulas")
+    return tuple(dict.fromkeys(f for f in subformulas(phi) if isinstance(f, Atomic)))
 
-    def walk(f: Formula) -> ConnExpr:
-        if isinstance(f, Atomic):
-            key = Atomic(f.relation, f.args)
-            if key not in index:
-                index[key] = len(atomics)
-                atomics.append(key)
-            return ProjC(index[key])
-        if isinstance(f, ConstF):
-            return ConstC(f.value)
-        if isinstance(f, MinF):
-            return MinC(tuple(walk(g) for g in f.items))
-        if isinstance(f, MaxF):
-            return MaxC(tuple(walk(g) for g in f.items))
-        if isinstance(f, PwlF):
-            return PwlC(f.breakpoints, walk(f.arg))
-        if isinstance(f, SegF):
-            return SegC(f.segment, tuple(walk(g) for g in f.args))
-        raise TypeError(type(f))
 
-    expr = walk(phi)
-    return expr, tuple(atomics)
+def eval_connective(phi: Formula, values: Mapping[Atomic, Fraction]) -> Fraction:
+    """Exact value of a basic formula whose atomics take ``values``.
+
+    With the atomics' values at a point of a structure this is the
+    formula's value there; any point of [0,1]^k evaluates the connective
+    itself."""
+    if isinstance(phi, Atomic):
+        return values[phi]
+    if isinstance(phi, ConstF):
+        return phi.value
+    if isinstance(phi, MinF):
+        return min(eval_connective(f, values) for f in phi.items)
+    if isinstance(phi, MaxF):
+        return max(eval_connective(f, values) for f in phi.items)
+    if isinstance(phi, PwlF):
+        return phi.apply(eval_connective(phi.arg, values))
+    if isinstance(phi, SegF):
+        return phi.segment(tuple(eval_connective(f, values) for f in phi.args))
+    raise TypeError(type(phi))

@@ -295,3 +295,24 @@ def test_eval_at_the_nesting_limit():
     out = run_cli("eval", str(DATA / "three_point.ms"), _nested_latmin(MAX_DEPTH - 2), "x,y")
     assert out == "1/5\n"
     run_cli("eval", str(DATA / "three_point.ms"), _nested_latmin(MAX_DEPTH - 1), "x,y", expect=1)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["scott-rank", str(DATA / "square.ms"), "--table-cap", "7"],
+        ["fixpoint", str(DATA / "square.ms"), "--q", "1/10", "--table-cap", "7"],
+        ["ralpha", str(DATA / "square.ms"), "--stage", "0", "--arity", "1", "--table-cap", "7"],
+    ],
+)
+def test_table_budget_refused_with_a_message(args):
+    proc = subprocess.run(
+        [sys.executable, "-m", "mscott", *args],
+        capture_output=True,
+        text=True,
+        cwd=PKG_ROOT,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: the stage-0 tables of arities 1..7 would hold ")
+    assert "Traceback" not in proc.stderr

@@ -11,9 +11,11 @@ from mscott.evaluation import (
     eval_term,
     subset_density,
 )
+from mscott.family import family_stack
+from mscott.moduli import SumWeakModulus
 from mscott.parser import parse_formula, parse_term
 from mscott.structures import load_structure
-from mscott.syntax import canonical_modulus, formula_free_vars
+from mscott.syntax import SegF, basic_atomics, canonical_modulus, formula_free_vars
 
 
 def test_eval_term_examples(data_dir):
@@ -46,8 +48,7 @@ def test_eval_lattice_arithmetic(three_point):
     assert eval_formula(halved, three_point, ("x", "y", "z")) == F(3, 10)
 
 
-def test_two_evaluator_passes_agree(three_point, corpus):
-    sig = three_point.signature
+def test_two_evaluator_passes_agree(three_point, corpus, data_dir):
     formulas = [
         "d(v0, v1)",
         "latmin(d(v0, v1), const(1/2))",
@@ -59,6 +60,14 @@ def test_two_evaluator_passes_agree(three_point, corpus):
             phi = parse_formula(text, s.signature)
             for t in s.tuples(2):
                 assert eval_formula(phi, s, t) == eval_formula_normalized(phi, s, t)
+    # family members: relation atomics and segments over several atomics
+    rel = load_structure(data_dir / "rel_demo.ms")
+    family = family_stack(rel.signature, SumWeakModulus(), 2, 50)
+    assert any(isinstance(phi, SegF) and len(basic_atomics(phi)) > 1 for phi in family)
+    assert any(a.relation != "d" for phi in family for a in basic_atomics(phi))
+    for phi in family:
+        for t in rel.tuples(2):
+            assert eval_formula(phi, rel, t) == eval_formula_normalized(phi, rel, t)
 
 
 def test_monotone_connectives(three_point):

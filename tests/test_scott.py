@@ -6,7 +6,7 @@ import pytest
 
 from mscott.evaluation import Evaluator
 from mscott.rationals import lcm_denominator
-from mscott.scott import BFEngine, EngineConfig
+from mscott.scott import BFEngine, EngineConfig, TableBudgetError
 from mscott.structures import PreStructure, automorphisms, build_metric, load_structure, validate
 from mscott.syntax import Signature
 
@@ -324,3 +324,17 @@ def test_rank_not_definitive_without_checked_tables(three_point):
     assert report.stable == {}
     assert not report.definitive
     assert report.rank is None and report.checkable_stages == -1
+
+
+def test_table_budget_is_checked_before_building(square):
+    # 4 points at table cap 7: sum of (4^n)^2 for n = 1..7 stage-0 cells
+    eng = BFEngine(square, config=EngineConfig(table_cap=7))
+    with pytest.raises(TableBudgetError, match="286,331,152 cells"):
+        eng.scott_rank()
+    assert eng._tables == {} and eng._families == {}
+    # a large arity cap reaches the same budget through the automatic cap
+    with pytest.raises(TableBudgetError):
+        BFEngine(square, config=EngineConfig(max_arity=10)).gamma_fixpoint(F(1, 10))
+    # r0 builds no table, so the cap does not limit it
+    value, _ = eng.r0_pair(("a",), ("b",))
+    assert value == 0

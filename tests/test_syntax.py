@@ -26,11 +26,11 @@ from mscott.syntax import (
     FunctionSymbol,
     Sup,
     Var,
+    basic_atomics,
     canonical_modulus,
     eval_connective,
     formula_free_vars,
     is_basic,
-    normalize_basic,
 )
 
 SIG = Signature(
@@ -126,25 +126,25 @@ def test_free_vars_and_basic():
 
 def test_normalize_atomic_is_projection():
     phi = parse_formula("d(v0, v1)")
-    expr, atoms = normalize_basic(phi)
+    atoms = basic_atomics(phi)
     assert atoms == (Atomic("d", (Var(0), Var(1))),)
-    assert eval_connective(expr, (F(2, 7),)) == F(2, 7)
+    assert eval_connective(phi, dict(zip(atoms, (F(2, 7),)))) == F(2, 7)
 
 
 def test_normalize_dedupes_atomics():
     phi = parse_formula("latmin(latmax(d(v0,v1), const(1/4)), d(v0,v1))")
-    expr, atoms = normalize_basic(phi)
+    atoms = basic_atomics(phi)
     assert len(atoms) == 1
-    assert eval_connective(expr, (F(1, 8),)) == min(max(F(1, 8), F(1, 4)), F(1, 8))
+    assert eval_connective(phi, dict(zip(atoms, (F(1, 8),)))) == min(max(F(1, 8), F(1, 4)), F(1, 8))
 
 
 def test_normalize_three_level_matches_eval_oracle():
-    # three nested connective levels over two atomics; the flattened
-    # connective must agree with direct evaluation on a grid of values
+    # three nested connective levels over two atomics; the connective at
+    # the atomics' values must agree with direct evaluation on a grid
     phi = parse_formula(
         "pwl((0,0),(1/2,1),(1,1); latmin(latmax(d(v0,v1), R(v0)), const(3/4)))", SIG
     )
-    expr, atoms = normalize_basic(phi)
+    atoms = basic_atomics(phi)
     assert len(atoms) == 2
 
     def direct(z0, z1):
@@ -153,12 +153,12 @@ def test_normalize_three_level_matches_eval_oracle():
 
     for z0 in RatGrid(1, F(1, 4), F(1)).axis():
         for z1 in RatGrid(1, F(1, 4), F(1)).axis():
-            assert eval_connective(expr, (z0, z1)) == direct(z0, z1)
+            assert eval_connective(phi, dict(zip(atoms, (z0, z1)))) == direct(z0, z1)
 
 
 def test_normalize_rejects_quantifier():
     with pytest.raises(ValueError):
-        normalize_basic(parse_formula("sup v0 . d(v0, v1)"))
+        basic_atomics(parse_formula("sup v0 . d(v0, v1)"))
 
 
 def test_canonical_modulus_examples():
