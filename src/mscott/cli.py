@@ -15,6 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import click
+import numpy as np
 
 from .evaluation import Evaluator
 from .family import enumerate_family
@@ -373,16 +374,17 @@ def cmd_fixpoint(structure: str, q_text: str, stage_cap: int, max_arity: int,
     except TableBudgetError as exc:
         _fail(str(exc))
         return
-    entries = []
+    total = 0
+    shown = []
     for n in range(1, engine.cap + 1):
         tuples = engine.tuples(n)
         arr = trace.entry[n]
-        for i, a in enumerate(tuples):
-            for j, b in enumerate(tuples):
-                k = int(arr[i, j])
-                if k >= 0:
-                    entries.append((n, a, b, k))
-    shown = entries[:limit]
+        mask = arr >= 0
+        total += int(np.count_nonzero(mask))
+        # the first members in row-major order lie in the first rows holding any
+        rows = np.flatnonzero(mask.any(axis=1))[: limit - len(shown)]
+        for r, j in np.argwhere(mask[rows])[: limit - len(shown)]:
+            shown.append((n, tuples[rows[r]], tuples[j], int(arr[rows[r], j])))
     payload = {
         "command": "fixpoint",
         "structure": s.name,
@@ -393,7 +395,7 @@ def cmd_fixpoint(structure: str, q_text: str, stage_cap: int, max_arity: int,
             {str(n): c for n, c in sizes.items()} for sizes in trace.stage_sizes
         ],
         "members_listed": len(shown),
-        "members_total": len(entries),
+        "members_total": total,
         "members": [
             {"arity": n, "a": list(a), "b": list(b), "entry_stage": k}
             for n, a, b, k in shown
@@ -407,8 +409,8 @@ def cmd_fixpoint(structure: str, q_text: str, stage_cap: int, max_arity: int,
     ]
     for n, a, b, k in shown:
         lines.append(f"({','.join(a)}) ({','.join(b)}) enters at stage {k}")
-    if len(entries) > len(shown):
-        lines.append(f"(+{len(entries) - len(shown)} more members)")
+    if total > len(shown):
+        lines.append(f"(+{total - len(shown)} more members)")
     _emit(payload, as_json, lines)
 
 

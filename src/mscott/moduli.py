@@ -592,9 +592,12 @@ class EnvelopeTable(Modulus):
         axis = tuple(i * step for i in range(count))
         fvals = {p[0]: v for p, v in self.samples}
         INF = None
-        best: list[Fraction | None] = [INF] * count
-        best[0] = ZERO
+        best: list[int | None] = [INF] * count
+        best[0] = 0
         pos = [(int(x / step), fvals[x]) for x in xs if x > 0]
+        # The min-plus sums run on integers over the values' common denominator.
+        scale = math.lcm(*(v.denominator for _, v in pos))
+        pos = [(pi, v.numerator * (scale // v.denominator)) for pi, v in pos]
         for _ in range(self.k_max):
             new = list(best)
             for pi, fv in pos:
@@ -609,7 +612,7 @@ class EnvelopeTable(Modulus):
             best = new
         if any(v is None for v in best):
             raise ModulusWindowError("k_max too small to cover the sample window")
-        self._cache["axis"] = (axis, tuple(best))  # type: ignore[arg-type]
+        self._cache["axis"] = (axis, tuple(Fraction(v, scale) for v in best))  # type: ignore[arg-type]
         return self._cache["axis"]
 
     # -- general: memoized decomposition minimum

@@ -95,7 +95,8 @@ class RankReport:
 @dataclass
 class FixpointTrace:
     q: Fraction
-    entry: dict[int, np.ndarray]  # arity -> entry stage per pair (-1: not within window)
+    # arity -> entry stage per pair (-1: not within window), as the smallest
+    entry: dict[int, np.ndarray]  # signed integer type holding stage_cap
     stage_sizes: list[dict[int, int]]  # per stage, per arity, members among equal-length pairs
     closed: bool
     closure_stage: int | None
@@ -364,52 +365,58 @@ class BFEngine:
         is a member from stage 0 and is reported by ``member`` without
         being stored.  Equal-length pairs at arity n carry valid entry
         stages up to the triangular window for that arity.
+
+        Arity n at stage k reads only arity n+1 at stage k-1 and the iterates
+        only grow, so an arity is recomputed only when the one above it grew;
+        the top arity is fixed at stage 0, so closure comes by stage ``cap``.
         """
         q = Fraction(q)
         if q <= 0:
             raise ValueError("the threshold must be a positive rational")
         self._build()
-        arities = range(1, self.cap + 1)
-        base = {n: self._threshold(n, 0, q) for n in arities}
-        current = {n: np.zeros_like(base[n], dtype=bool) for n in arities}
-        entry = {n: np.full(base[n].shape, -1, dtype=np.int64) for n in arities}
-        sizes: list[dict[int, int]] = []
-        closed = False
-        closure_stage: int | None = None
-        for k in range(self.config.stage_cap + 1):
-            new = {}
-            for n in arities:
-                memb = base[n].copy()
-                if n + 1 <= self.cap:
-                    m = len(self.s.points)
-                    t = len(self.tuples(n))
-                    x4 = current[n + 1].reshape(t, m, t, m)
-                    # exists c,d  forall c',d':  (a c', b d) in X  or  (a c, b d') in X
-                    # the universal pair splits over the two disjuncts:
-                    all_c = x4.all(axis=1)  # [a, b, d]: forall c' (a c', b d)
-                    all_d = x4.all(axis=3)  # [a, c, b]: forall d' (a c, b d')
-                    memb |= all_c.any(axis=2) | all_d.any(axis=1)
-                new[n] = memb
-                fresh = memb & (entry[n] < 0)
-                entry[n][fresh] = k
-            sizes.append({n: int(new[n].sum()) for n in arities})
-            if all(np.array_equal(new[n], current[n]) for n in arities):
-                closed = True
-                closure_stage = k
-                break
-            current = new
+        current = {n: self._threshold(n, 0, q) for n in range(1, self.cap + 1)}
+        dtype = np.min_scalar_type(-1 - self.config.stage_cap)
+        entry = {n: np.subtract(x, 1, dtype=dtype) for n, x in current.items()}
+        sizes = [{n: int(np.count_nonzero(x)) for n, x in current.items()}]
+        grown = [n for n, c in sizes[0].items() if c]
+        k = 0
+        while grown and k < self.config.stage_cap:
+            k += 1
+            sizes.append(dict(sizes[-1]))
+            below, grown = [n - 1 for n in grown if n > 1], []
+            # ascending, so arity n + 1 still holds stage k - 1 when n reads it
+            for n in below:
+                fresh = self._step(current[n + 1]) & ~current[n]
+                c = int(np.count_nonzero(fresh))
+                if c:
+                    entry[n][fresh] = k
+                    current[n] |= fresh
+                    sizes[k][n] += c
+                    grown.append(n)
         return FixpointTrace(
             q=q,
             entry=entry,
             stage_sizes=sizes,
-            closed=closed,
-            closure_stage=closure_stage,
+            closed=not grown,
+            closure_stage=None if grown else k,
             meta=self.config.meta(self.cap) | {"structure": self.s.name, "q": format_rational(q)},
         )
 
+    def _step(self, x: np.ndarray) -> np.ndarray:
+        """Pairs (a, b) with c, d such that each (a c', b d) or (a c, b d') is in x."""
+        m = len(self.s.points)
+        t = x.shape[0] // m
+        x4 = x.reshape(t, m, t, m)
+        # The universal pair splits over the disjuncts.  Each quantifier is an
+        # AND or OR of m slices; numpy reduces a short strided axis far slower.
+        all_c = np.logical_and.reduce([x4[:, c] for c in range(m)])  # [a, b, d]
+        all_d = np.logical_and.reduce([x4[..., d] for d in range(m)])  # [a, c, b]
+        return np.logical_or.reduce([all_c[..., d] for d in range(m)]
+                                    + [all_d[:, c] for c in range(m)])
+
     def r_entry_stages(self, q: Fraction, n: int) -> np.ndarray:
         """Least stage alpha within the window with r_alpha > q, else -1."""
-        out = np.full(self.table(n, 0).shape, -1, dtype=np.int64)
+        out = np.full(self.table(n, 0).shape, -1, np.min_scalar_type(-1 - self.config.stage_cap))
         # Compared value by value, not through ``_threshold``, so that
         # ``oracle_equivalence`` checks the fixpoint against its own reading.
         above = np.array([v > q for v in self._codebook], dtype=bool)

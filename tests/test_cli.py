@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -218,6 +219,28 @@ def test_fixpoint_limit_truncates():
     payload = json.loads(out)
     assert payload["members_listed"] == 2
     assert payload["members_total"] > 2
+
+
+def test_fixpoint_members_listed_in_row_major_order():
+    from mscott.scott import BFEngine, EngineConfig
+    from mscott.structures import load_structure
+
+    args = ("fixpoint", str(DATA / "three_point.ms"), "--q", "1/10", "--table-cap", "3", "--json")
+    full = json.loads(run_cli(*args, "--limit", "1000"))
+    cut = json.loads(run_cli(*args, "--limit", "10"))
+    # the loop the command replaced: every pair of every arity, row-major
+    engine = BFEngine(load_structure(DATA / "three_point.ms"), config=EngineConfig(table_cap=3))
+    trace = engine.gamma_fixpoint(Fraction(1, 10))
+    want = [
+        {"arity": n, "a": list(a), "b": list(b), "entry_stage": int(trace.entry[n][i, j])}
+        for n in range(1, engine.cap + 1)
+        for i, a in enumerate(engine.tuples(n))
+        for j, b in enumerate(engine.tuples(n))
+        if trace.entry[n][i, j] >= 0
+    ]
+    assert full["members"] == want
+    assert full["members_total"] == cut["members_total"] == len(want) > 10
+    assert cut["members"] == want[:10]
 
 
 def test_point_not_in_structure_rejected():

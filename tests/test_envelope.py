@@ -1,7 +1,11 @@
 """Largest-modulus-below envelope and the induced connective modulus."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +23,7 @@ from mscott.moduli import (
 from mscott.rationals import RatGrid
 
 OMEGA = SumWeakModulus()
+PKG_ROOT = Path(__file__).resolve().parent.parent
 
 
 def brute_envelope_1d(samples: dict, k_max: int, x: F) -> F:
@@ -80,6 +85,31 @@ def test_square_envelope_matches_bruteforce_everywhere():
     env = largest_modulus_below(samples, 4)
     for x in g.axis():
         assert env((x,)) == brute_envelope_1d(samples, 4, x)
+
+
+def test_envelope_mixed_denominators_match_bruteforce_on_whole_axis():
+    # x^2 + x/3 on a 1/6 grid: sample values over denominators 3, 9, 12 and
+    # 36, and the axis runs past the samples to k_max times the largest
+    g = RatGrid(1, F(1, 6), F(1))
+    samples = {(x,): x * x + x / 3 for x in g.axis()}
+    assert len({v.denominator for v in samples.values()}) > 3
+    env = largest_modulus_below(samples, 3)
+    assert env.window == (F(3),)
+    for i in range(19):
+        x = F(i, 6)
+        assert env((x,)) == brute_envelope_1d(samples, 3, x), x
+
+
+def test_approximation_demo_runs():
+    # the demo builds the x^2 envelope at grid 1/8, k_max 8 and 1/16, k_max 16
+    env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PKG_ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(PKG_ROOT / "scripts" / "approximation_demo.py")],
+        capture_output=True, text=True, cwd=PKG_ROOT, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("modulus check: pass") == 2, proc.stdout
 
 
 def test_envelope_below_f_and_checks():

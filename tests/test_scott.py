@@ -7,7 +7,9 @@ import pytest
 from mscott.evaluation import Evaluator
 from mscott.rationals import lcm_denominator
 from mscott.scott import BFEngine, EngineConfig, TableBudgetError
-from mscott.structures import PreStructure, automorphisms, build_metric, load_structure, validate
+from mscott.structures import (
+    PreStructure, automorphisms, build_metric, load_structure, loads_structure, validate,
+)
 from mscott.syntax import Signature
 
 from conftest import codebook_numerators
@@ -233,7 +235,9 @@ def test_r0_pair_agrees_with_table_route(data_dir):
 
 def gamma_fixpoint_oracle(engine, q):
     """Independent threshold-operator implementation: explicit sets of
-    equal-length pairs and literal quantifier loops."""
+    equal-length pairs and literal quantifier loops.  Returns the entry
+    stages, the per-stage member counts, the closed flag and the closure
+    stage."""
     pts = engine.s.points
     arities = range(1, engine.cap + 1)
     pairs = {n: [(a, b) for a in engine.tuples(n) for b in engine.tuples(n)] for n in arities}
@@ -242,6 +246,7 @@ def gamma_fixpoint_oracle(engine, q):
     }
     entry: dict = {n: {} for n in arities}
     current: dict = {n: set() for n in arities}
+    sizes = []
     for k in range(engine.config.stage_cap + 1):
         new = {}
         for n in arities:
@@ -266,24 +271,58 @@ def gamma_fixpoint_oracle(engine, q):
             new[n] = members
             for pair in members:
                 entry[n].setdefault(pair, k)
+        sizes.append({n: len(new[n]) for n in arities})
         if new == current:
-            break
+            return entry, sizes, True, k
         current = new
-    return entry
+    return entry, sizes, False, None
+
+
+def assert_gamma_matches_oracle(eng, q):
+    trace = eng.gamma_fixpoint(q)
+    entry, sizes, closed, closure_stage = gamma_fixpoint_oracle(eng, q)
+    for n in range(1, eng.cap + 1):
+        info = np.iinfo(trace.entry[n].dtype)
+        assert info.min <= -1 and info.max >= eng.config.stage_cap
+        tuples = eng.tuples(n)
+        for i, a in enumerate(tuples):
+            for j, b in enumerate(tuples):
+                got = int(trace.entry[n][i, j])
+                want = entry[n].get((a, b), -1)
+                assert got == want, (q, n, a, b, got, want)
+    assert trace.stage_sizes == sizes, q
+    assert all(type(c) is int for stage in trace.stage_sizes for c in stage.values())
+    assert (trace.closed, trace.closure_stage) == (closed, closure_stage), q
+    return trace
 
 
 def test_gamma_matches_independent_oracle(three_point):
     eng = BFEngine(three_point, config=EngineConfig(family_size=120, max_arity=1, table_cap=2, stage_cap=4))
     for q in (F(1, 10), F(1, 4), F(1, 2), F(3, 2**36 + 1), F(1, 2**70)):
-        trace = eng.gamma_fixpoint(q)
-        oracle = gamma_fixpoint_oracle(eng, q)
-        for n in range(1, eng.cap + 1):
-            tuples = eng.tuples(n)
-            for i, a in enumerate(tuples):
-                for j, b in enumerate(tuples):
-                    got = int(trace.entry[n][i, j])
-                    want = oracle[n].get((a, b), -1)
-                    assert got == want, (q, n, a, b, got, want)
+        assert_gamma_matches_oracle(eng, q)
+
+
+# Arity 1 enters at stage 2 at q = 1/4, after arity 2 grew at stage 1, so an
+# arity that read the stage being built would enter a stage early.
+CHAIN_MS = "mscott/1\n[signature]\n[points]\np0 p1 p2\n[metric]\n5/8\n7/8 17/32\n"
+
+
+@pytest.mark.parametrize("name, stage_cap", [
+    ("three_point", 0), ("three_point", 1), ("three_point", 8), ("three_point", 200),
+    ("rel_demo", 8), ("square", 8), ("chain", 8),
+])
+def test_gamma_every_field_matches_oracle(data_dir, name, stage_cap):
+    if name == "chain":
+        s = loads_structure(CHAIN_MS, name=name)
+    else:
+        s = load_structure(data_dir / f"{name}.ms")
+    eng = BFEngine(s, config=EngineConfig(family_size=60, max_arity=2, table_cap=3, stage_cap=stage_cap))
+    for q in (F(1, 10), F(1, 4)):
+        trace = assert_gamma_matches_oracle(eng, q)
+        assert len(trace.stage_sizes) <= stage_cap + 1
+    # above every codebook value stage 0 is empty, so it closes at once
+    trace = assert_gamma_matches_oracle(eng, eng.codebook[-1] + 1)
+    assert trace.closed and trace.closure_stage == 0 and trace.stage_sizes == [{1: 0, 2: 0, 3: 0}]
 
 
 def test_gamma_stage_sizes_monotone_until_closure(three_engine):
