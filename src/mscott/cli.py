@@ -209,8 +209,8 @@ def cmd_modulus_floor(target: str, step_text: str, bound_text: str, kmax: int, a
     targets sample directly on the grid."""
     step = _rat_arg(step_text, "--grid")
     bound = _rat_arg(bound_text, "--bound")
-    grid = RatGrid(1, step, bound)
     try:
+        grid = RatGrid(1, step, bound)
         if target == "sqrt":
             samples = {(v * v,): v for v in grid.axis()}
             env = largest_modulus_below(samples, kmax)
@@ -221,10 +221,11 @@ def cmd_modulus_floor(target: str, step_text: str, bound_text: str, kmax: int, a
                 "cap2": lambda p: min(ONE, 2 * p[0]),
             }
             env = largest_modulus_below(fns[target], kmax, grid=grid)
+        table = env.table()
     except ValueError as exc:
         _fail(str(exc))
         return
-    rows = [(format_rational(p[0]), format_rational(v)) for p, v in env.table()]
+    rows = [(format_rational(p[0]), format_rational(v)) for p, v in table]
     payload = {
         "command": "modulus-floor",
         "target": target,
@@ -316,7 +317,7 @@ def cmd_ralpha(structure: str, stage: int, arity: int, family: int,
 @click.option("--max-arity", default=3, show_default=True, type=click.IntRange(min=1))
 @click.option("--family", default=200, show_default=True, type=click.IntRange(min=0))
 @click.option("--stage-cap", default=8, show_default=True, type=click.IntRange(min=1))
-@click.option("--table-cap", default=None, type=int)
+@click.option("--table-cap", default=None, type=click.IntRange(min=1))
 @click.option("--json", "as_json", is_flag=True)
 def cmd_scott_rank(structure: str, max_arity: int, family: int, stage_cap: int,
                    table_cap: int | None, as_json: bool) -> None:
@@ -357,7 +358,7 @@ def cmd_scott_rank(structure: str, max_arity: int, family: int, stage_cap: int,
 @click.option("--stage-cap", default=8, show_default=True, type=click.IntRange(min=0))
 @click.option("--max-arity", default=3, show_default=True, type=click.IntRange(min=1))
 @click.option("--family", default=200, show_default=True, type=click.IntRange(min=0))
-@click.option("--table-cap", default=None, type=int)
+@click.option("--table-cap", default=None, type=click.IntRange(min=1))
 @click.option("--limit", default=50, show_default=True, type=click.IntRange(min=0),
               help="maximum number of member pairs to list")
 @click.option("--json", "as_json", is_flag=True)

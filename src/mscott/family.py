@@ -49,7 +49,7 @@ from .moduli import (
     linear_upper_row,
     pi_fold,
 )
-from .parser import print_formula
+from .parser import print_formula, print_term
 from .rationals import ONE, ZERO, RatGrid, Vec, vec_sub
 from .segments import make_segment
 from .syntax import (
@@ -95,8 +95,6 @@ def _terms(sig: Signature, arity: int, depth: int) -> list[Term]:
 
 
 def _term_key(t: Term) -> tuple:
-    from .parser import print_term
-
     return (term_size(t), print_term(t))
 
 

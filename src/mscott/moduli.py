@@ -22,7 +22,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Callable, Sequence
 
 from .rationals import (
@@ -569,8 +569,8 @@ class EnvelopeTable(Modulus):
     def _axis_table(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
         if "axis" in self._cache:
             return self._cache["axis"]
-        xs = sorted({p[0] for p, _ in self.samples})
-        top = xs[-1]
+        xs = {p[0] for p, _ in self.samples}
+        top = max(xs)
         num_gcd = 0
         den_lcm = 1
         for x in xs:
@@ -710,14 +710,33 @@ def largest_modulus_below(
     for p, v in items:
         if v < 0:
             raise ValueError(f"negative sample value at {format_vec(p)}")
+    decrease = _first_decrease(items)
+    if decrease is not None:
+        (p, vp), (q, vq) = decrease
+        raise ValueError(
+            f"f decreases from {format_vec(p)} to {format_vec(q)}: "
+            f"{format_rational(vp)} > {format_rational(vq)}"
+        )
+    return EnvelopeTable(tuple(items), k_max)
+
+
+def _first_decrease(items: list[tuple[Vec, Fraction]]) -> tuple | None:
+    """The first pair of sorted samples p <= q (coordinatewise) with
+    f(p) > f(q), scanning p and then q in order."""
+    if len(items[0][0]) == 1:
+        # Samples on a line are totally ordered: the q above p are the later
+        # samples, so one pass over suffix minima finds the first failing p.
+        low = list(accumulate((v for _, v in reversed(items)), min))[::-1]
+        for i in range(len(items) - 1):
+            vp = items[i][1]
+            if low[i + 1] < vp:
+                return items[i], next(s for s in items[i + 1 :] if s[1] < vp)
+        return None
     for p, vp in items:
         for q, vq in items:
             if vec_le(p, q) and vp > vq:
-                raise ValueError(
-                    f"f decreases from {format_vec(p)} to {format_vec(q)}: "
-                    f"{format_rational(vp)} > {format_rational(vq)}"
-                )
-    return EnvelopeTable(tuple(items), k_max)
+                return (p, vp), (q, vq)
+    return None
 
 
 # ---------------------------------------------------------------------------

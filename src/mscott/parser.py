@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable
 
 from .moduli import (
     CappedLinear,
@@ -47,26 +47,28 @@ from .syntax import (
     ConstF,
     ConstTerm,
     Formula,
+    FunctionSymbol,
     Inf,
     MaxF,
     MinF,
     PwlF,
+    RelationSymbol,
     SegF,
     Signature,
     Sup,
     Term,
     Var,
-    validate_formula,
 )
 
 
 MAX_DEPTH = 100  # syntax-tree levels; keeps every recursive walk of a parsed
-# formula (validation, evaluation, printing) well inside Python's stack
+# formula (evaluation, printing) well inside Python's stack
 
 
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{line}:{column}: {message}")
+        self.message = message
         self.line = line
         self.column = column
 
@@ -83,23 +85,29 @@ _PUNCT = "(),;./"
 
 
 def _nested(parse):
-    """Count one syntax-tree level around a recursive parse method."""
+    """Count one syntax-tree level around a recursive parse method, and report
+    a constructor's ValueError as a ParseError at the level's first token."""
 
     def method(self, *args):
         if self.depth == MAX_DEPTH:
             raise self.error(f"nesting deeper than {MAX_DEPTH} levels")
+        first = self.peek()
         self.depth += 1
         try:
             return parse(self, *args)
+        except ParseError:
+            raise
+        except ValueError as exc:
+            raise ParseError(str(exc), first.line, first.column) from exc
         finally:
             self.depth -= 1
 
     return method
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str, line: int = 1, col: int = 1) -> list[Token]:
+    """The tokens of ``text``, positioned as if it started at ``line``:``col``."""
     toks: list[Token] = []
-    line, col = 1, 1
     i = 0
     while i < len(text):
         c = text[i]
@@ -144,8 +152,8 @@ def tokenize(text: str) -> list[Token]:
 
 
 class _Parser:
-    def __init__(self, text: str, signature: Signature | None):
-        self.toks = tokenize(text)
+    def __init__(self, text: str, signature: Signature | None, line: int = 1, column: int = 1):
+        self.toks = tokenize(text, line, column)
         self.pos = 0
         self.depth = 0
         self.sig = signature
@@ -180,6 +188,22 @@ class _Parser:
         except ValueError:  # past Python's limit on digits per int
             raise ParseError(f"number too long ({len(digits)} digits)", t.line, t.column) from None
 
+    def whole(self, parse, *args):
+        """``parse(*args)``, which must use up the input."""
+        out = parse(*args)
+        t = self.peek()
+        if t.kind != "eof":
+            raise ParseError(f"trailing input {t.text!r}", t.line, t.column)
+        return out
+
+    def items(self, parse, *args) -> tuple:
+        """``parse(*args)`` repeated, separated by commas."""
+        out = [parse(*args)]
+        while self.peek().kind == ",":
+            self.next()
+            out.append(parse(*args))
+        return tuple(out)
+
     # -- scalars
 
     def rational(self) -> Fraction:
@@ -194,173 +218,148 @@ class _Parser:
             return Fraction(num, den)
         return Fraction(num)
 
-    def rational_list(self) -> list[Fraction]:
-        out = [self.rational()]
-        while self.peek().kind == ",":
-            self.next()
-            out.append(self.rational())
-        return out
-
     def vec(self) -> Vec:
         self.expect("(")
         if self.peek().kind == ")":
             self.next()
             return ()
-        out = self.rational_list()
+        out = self.items(self.rational)
         self.expect(")")
-        return tuple(out)
+        return out
 
-    def point_list(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        pts = []
-        while True:
-            self.expect("(")
-            x = self.rational()
-            self.expect(",")
-            y = self.rational()
-            self.expect(")")
-            pts.append((x, y))
-            if self.peek().kind == ",":
-                self.next()
-                continue
-            break
-        return tuple(pts)
+    def point(self) -> tuple[Fraction, Fraction]:
+        self.expect("(")
+        x = self.rational()
+        self.expect(",")
+        y = self.rational()
+        self.expect(")")
+        return x, y
 
     # -- moduli
 
     @_nested
     def modulus(self, expected_arity: int | None = None) -> Modulus:
         t = self.expect("name")
-        try:
-            if t.text == "linear":
-                self.expect("(")
-                coeffs = self.rational_list()
+        if t.text == "linear":
+            self.expect("(")
+            coeffs = self.items(self.rational)
+            self.expect(")")
+            return Linear(coeffs)
+        if t.text == "capped":
+            self.expect("(")
+            cap = self.rational()
+            self.expect(";")
+            coeffs = self.items(self.rational)
+            self.expect(")")
+            return CappedLinear(cap, coeffs)
+        if t.text == "pwl":
+            self.expect("(")
+            bps = self.items(self.point)
+            coeffs = (Fraction(1),)
+            if self.peek().kind == ";":
+                self.next()
+                coeffs = self.items(self.rational)
+            self.expect(")")
+            return PiecewiseConcave(bps, coeffs)
+        if t.text == "zero":
+            if self.peek().kind == "(":
+                self.next()
+                nt = self.expect("int")
+                n = self.integer(nt, nt.text)
                 self.expect(")")
-                return Linear(tuple(coeffs))
-            if t.text == "capped":
-                self.expect("(")
-                cap = self.rational()
-                self.expect(";")
-                coeffs = self.rational_list()
-                self.expect(")")
-                return CappedLinear(cap, tuple(coeffs))
-            if t.text == "pwl":
-                self.expect("(")
-                bps = self.point_list()
-                coeffs: Sequence[Fraction] = (Fraction(1),)
-                if self.peek().kind == ";":
-                    self.next()
-                    coeffs = self.rational_list()
-                self.expect(")")
-                return PiecewiseConcave(bps, tuple(coeffs))
-            if t.text == "zero":
-                if self.peek().kind == "(":
-                    self.next()
-                    nt = self.expect("int")
-                    n = self.integer(nt, nt.text)
-                    self.expect(")")
-                    return Zero(n)
-                if expected_arity is None:
-                    raise ParseError(
-                        "bare 'zero' needs an arity context; write zero(n)",
-                        t.line,
-                        t.column,
-                    )
-                return Zero(expected_arity)
-            if t.text == "maxof":
-                self.expect("(")
-                ops = [self.modulus(expected_arity)]
-                while self.peek().kind == ",":
-                    self.next()
-                    ops.append(self.modulus(expected_arity))
-                self.expect(")")
-                return MaxOf(tuple(ops))
-            if t.text == "polymax":
-                self.expect("(")
-                rows = [self.vec()]
-                while self.peek().kind == ",":
-                    self.next()
-                    rows.append(self.vec())
-                self.expect(")")
-                return PolyhedralMax(tuple(rows))
-            if t.text == "compose":
-                self.expect("(")
-                outer = self.modulus()
-                self.expect(";")
-                inners = [self.modulus(expected_arity)]
-                while self.peek().kind == ",":
-                    self.next()
-                    inners.append(self.modulus(expected_arity))
-                self.expect(")")
-                return Compose(outer, tuple(inners))
-        except ValueError as exc:
-            if isinstance(exc, ParseError):
-                raise
-            raise ParseError(str(exc), t.line, t.column) from exc
+                return Zero(n)
+            if expected_arity is None:
+                raise ParseError(
+                    "bare 'zero' needs an arity context; write zero(n)",
+                    t.line,
+                    t.column,
+                )
+            return Zero(expected_arity)
+        if t.text == "maxof":
+            self.expect("(")
+            ops = self.items(self.modulus, expected_arity)
+            self.expect(")")
+            return MaxOf(ops)
+        if t.text == "polymax":
+            self.expect("(")
+            rows = self.items(self.vec)
+            self.expect(")")
+            return PolyhedralMax(rows)
+        if t.text == "compose":
+            self.expect("(")
+            outer = self.modulus()
+            self.expect(";")
+            inners = self.items(self.modulus, expected_arity)
+            self.expect(")")
+            return Compose(outer, inners)
         raise ParseError(f"unknown modulus form {t.text!r}", t.line, t.column)
 
     # -- terms
 
+    def applied(self, kind: str, name: Token) -> tuple[Term, ...]:
+        """The parenthesized arguments of relation or function ``name``.  With
+        a signature, the symbol and its arity are checked at ``name``."""
+        sym = None
+        if self.sig is not None:
+            lookup = self.sig.relation if kind == "relation" else self.sig.function
+            try:
+                sym = lookup(name.text)
+            except KeyError as exc:
+                raise ParseError(exc.args[0], name.line, name.column) from None
+        self.expect("(")
+        args = self.items(self.term)
+        self.expect(")")
+        if sym is not None and len(args) != sym.arity:
+            raise ParseError(
+                f"{kind} {sym.name} expects {sym.arity} arguments, got {len(args)}",
+                name.line,
+                name.column,
+            )
+        return args
+
     @_nested
     def term(self) -> Term:
         t = self.expect("name")
-        span = (t.line, t.column)
         if t.text.startswith("v") and t.text[1:].isdigit():
-            return Var(self.integer(t, t.text[1:]), span=span)
+            return Var(self.integer(t, t.text[1:]))
         if self.peek().kind == "(":
-            self.next()
-            args = [self.term()]
-            while self.peek().kind == ",":
-                self.next()
-                args.append(self.term())
-            self.expect(")")
-            return Apply(t.text, tuple(args), span=span)
-        return ConstTerm(t.text, span=span)
+            return Apply(t.text, self.applied("function", t))
+        if self.sig is not None and not self.sig.is_constant(t.text):
+            raise ParseError(f"unknown constant {t.text!r}", t.line, t.column)
+        return ConstTerm(t.text)
 
     # -- formulas
 
     @_nested
     def formula(self) -> Formula:
-        t = self.peek()
-        span = (t.line, t.column)
         if self.at_name("sup", "inf"):
             kw = self.next()
             v = self.expect("name")
             if not (v.text.startswith("v") and v.text[1:].isdigit()):
                 raise ParseError(f"expected a variable, found {v.text!r}", v.line, v.column)
             self.expect(".")
-            body = self.formula()
             cls = Sup if kw.text == "sup" else Inf
-            return cls(self.integer(v, v.text[1:]), body, span=span)
+            return cls(self.integer(v, v.text[1:]), self.formula())
         if self.at_name("latmin", "latmax"):
             kw = self.next()
             self.expect("(")
-            items = [self.formula()]
-            while self.peek().kind == ",":
-                self.next()
-                items.append(self.formula())
+            items = self.items(self.formula)
             self.expect(")")
-            cls = MinF if kw.text == "latmin" else MaxF
-            return cls(tuple(items), span=span)
+            return (MinF if kw.text == "latmin" else MaxF)(items)
         if self.at_name("const"):
             self.next()
             self.expect("(")
             q = self.rational()
             self.expect(")")
-            try:
-                return ConstF(q, span=span)
-            except ValueError as exc:
-                raise ParseError(str(exc), t.line, t.column) from exc
+            return ConstF(q)
         if self.at_name("pwl"):
             self.next()
             self.expect("(")
-            bps = self.point_list()
+            bps = self.items(self.point)
             self.expect(";")
             arg = self.formula()
             self.expect(")")
-            try:
-                return PwlF(bps, arg, span=span)
-            except ValueError as exc:
-                raise ParseError(str(exc), t.line, t.column) from exc
+            return PwlF(bps, arg)
         if self.at_name("seg"):
             self.next()
             self.expect("(")
@@ -374,86 +373,107 @@ class _Parser:
             self.expect(";")
             b = self.rational()
             self.expect(";")
-            args = [self.formula()]
-            while self.peek().kind == ",":
-                self.next()
-                args.append(self.formula())
+            args = self.items(self.formula)
             self.expect(")")
-            try:
-                seg = make_segment(delta, x, y, a, b)
-                return SegF(seg, tuple(args), span=span)
-            except ValueError as exc:
-                raise ParseError(str(exc), t.line, t.column) from exc
-        # atomic
+            return SegF(make_segment(delta, x, y, a, b), args)
         name = self.expect("name")
-        self.expect("(")
-        args = [self.term()]
-        while self.peek().kind == ",":
-            self.next()
-            args.append(self.term())
-        self.expect(")")
-        return Atomic(name.text, tuple(args), span=span)
+        return Atomic(name.text, self.applied("relation", name))
 
 
 def parse_formula(text: str, signature: Signature | None = None) -> Formula:
-    """Parse a formula; when a signature is given, symbols and arities are
-    checked and errors carry source positions."""
+    """Parse a formula.  With a signature, each relation, function and
+    constant symbol, and each arity, is checked where it occurs.  Every
+    error is a ParseError at the line:column of the token that shows it."""
     p = _Parser(text, signature)
-    phi = p.formula()
-    eof = p.peek()
-    if eof.kind != "eof":
-        raise ParseError(f"trailing input {eof.text!r}", eof.line, eof.column)
-    if signature is not None:
-        try:
-            validate_formula(phi, signature)
-        except (ValueError, KeyError) as exc:
-            msg = str(exc).strip("'\"")
-            raise ParseError(msg, 1, 1) from exc
-    return phi
+    return p.whole(p.formula)
 
 
 def parse_term(text: str) -> Term:
     p = _Parser(text, None)
-    t = p.term()
-    eof = p.peek()
-    if eof.kind != "eof":
-        raise ParseError(f"trailing input {eof.text!r}", eof.line, eof.column)
-    return t
+    return p.whole(p.term)
 
 
 def parse_formula_file(text: str, signature: Signature | None = None) -> Formula:
-    """Parse a formula file: either bare formula text, or a ``[signature]``
-    header block followed by a ``[formula]`` section.
+    """Parse a formula file: either bare formula text, or a header followed
+    by a ``[formula]`` section.
 
-    A header block must agree with the ambient signature when one is
-    supplied (it re-declares the symbols the formula relies on)."""
-    if "[formula]" not in text:
+    The header may hold a ``mscott/1`` line and then one ``[signature]``
+    block of ``rel``/``fun``/``const`` lines, as in a ``.ms`` file; ``#``
+    starts a comment.  A header block must agree with the ambient signature
+    when one is supplied (it re-declares the symbols the formula relies
+    on).  Errors carry the line:column of the file itself."""
+    head, marker, body = text.partition("[formula]")
+    if not marker:
         return parse_formula(text, signature)
-    from .structures import StructureFormatError, parse_structure  # deferred; structures imports us
-
-    head, _, body = text.partition("[formula]")
-    if "[signature]" in head:
-        shim = head.strip() + "\n[points]\n_p\n[metric]\n"
-        if not shim.startswith("mscott/"):
-            shim = "mscott/1\n" + shim
+    lines = []
+    for no, raw in enumerate(head.split("\n"), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        if line.strip():
+            lines.append((no, line))
+    if lines and lines[0][1].strip() == "mscott/1":
+        del lines[0]
+    if lines:
+        no, line = lines[0]
+        col = len(line) - len(line.lstrip()) + 1
+        if line.strip() != "[signature]":
+            raise ParseError("expected 'mscott/1' or '[signature]' before [formula]", no, col)
+        symbols = parse_declarations(lines[1:])
         try:
-            declared = parse_structure(shim).signature
-        except StructureFormatError as exc:
-            raise ParseError(f"formula file signature: {exc}", 1, 1) from exc
+            declared = Signature(*symbols)
+        except ValueError as exc:
+            raise ParseError(str(exc), no, col) from exc
         if signature is not None and declared != signature:
             raise ParseError(
-                "formula file signature does not match the structure's signature", 1, 1
+                "formula file signature does not match the structure's signature", no, col
             )
-    return parse_formula(body.strip(), signature)
+    before = head.rsplit("\n", 1)[-1]
+    p = _Parser(body, signature, head.count("\n") + 1, len(before) + len(marker) + 1)
+    return p.whole(p.formula)
 
 
 def parse_modulus(text: str, expected_arity: int | None = None) -> Modulus:
     p = _Parser(text, None)
-    m = p.modulus(expected_arity)
-    eof = p.peek()
-    if eof.kind != "eof":
-        raise ParseError(f"trailing input {eof.text!r}", eof.line, eof.column)
-    return m
+    return p.whole(p.modulus, expected_arity)
+
+
+def parse_declarations(
+    lines: Iterable[tuple[int, str]],
+) -> tuple[tuple[RelationSymbol, ...], tuple[FunctionSymbol, ...], tuple[str, ...]]:
+    """The symbols of a ``[signature]`` block, from (line number, text) pairs
+    of the form ``rel NAME ARITY MOD``, ``fun NAME ARITY MOD`` or
+    ``const NAME``.  A ParseError names the line, and a bad modulus the
+    column where it starts, followed by its own error."""
+    relations: list[RelationSymbol] = []
+    functions: list[FunctionSymbol] = []
+    constants: list[str] = []
+    for no, text in lines:
+        col = len(text) - len(text.lstrip()) + 1
+        w = text.split(None, 3)
+        if w[0] in ("rel", "fun") and len(w) == 4:
+            try:
+                arity = int(w[2])
+            except ValueError:
+                raise ParseError(f"bad arity {w[2]!r}", no, col) from None
+            col = len(text) - len(w[3]) + 1
+            try:
+                m = parse_modulus(w[3], expected_arity=arity)
+            except ParseError as exc:
+                raise ParseError(f"bad modulus: {exc}", no, col) from exc
+            if m.arity != arity:
+                raise ParseError(
+                    f"modulus arity {m.arity} does not match symbol arity {arity}", no, col
+                )
+            if w[0] == "rel":
+                relations.append(RelationSymbol(w[1], arity, m))
+            else:
+                functions.append(FunctionSymbol(w[1], arity, m))
+        elif w[0] == "const" and len(w) == 2:
+            constants.append(w[1])
+        else:
+            raise ParseError(
+                "expected 'rel NAME ARITY MOD', 'fun NAME ARITY MOD' or 'const NAME'", no, col
+            )
+    return tuple(relations), tuple(functions), tuple(constants)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ only at the CLI layer and is labeled approximate there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -126,8 +127,6 @@ def grid_points(g: RatGrid) -> list[Vec]:
 
 def lcm_denominator(values: Iterable[Fraction]) -> int:
     """Least common multiple of the denominators of ``values`` (at least 1)."""
-    import math
-
     L = 1
     for v in values:
         L = math.lcm(L, v.denominator)

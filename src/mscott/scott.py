@@ -102,13 +102,6 @@ class FixpointTrace:
     closure_stage: int | None
     meta: dict
 
-    def member(self, a: tuple[str, ...], b: tuple[str, ...], engine: "BFEngine") -> bool:
-        if len(a) != len(b):
-            return True  # length mismatch enters at stage 0
-        n = len(a)
-        ia, ib = engine.tuple_index(a), engine.tuple_index(b)
-        return int(self.entry[n][ia, ib]) >= 0
-
     def entry_stage(self, a: tuple[str, ...], b: tuple[str, ...], engine: "BFEngine") -> int | None:
         if len(a) != len(b):
             return 0

@@ -35,8 +35,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from pathlib import Path
 
-from .moduli import Modulus
-from .parser import ParseError, parse_modulus, print_modulus
+from .parser import ParseError, parse_declarations, print_modulus
 from .rationals import ZERO, format_rational, parse_rational
 from .syntax import FunctionSymbol, RelationSymbol, Signature
 
@@ -79,9 +78,6 @@ class PreStructure:
 
     def d(self, p: str, q: str) -> Fraction:
         return self.metric[(p, q)]
-
-    def index(self, p: str) -> int:
-        return self.points.index(p)
 
     def tuples(self, n: int) -> list[tuple[str, ...]]:
         """All n-tuples of points in lexicographic point-index order."""
@@ -269,32 +265,15 @@ def parse_structure(text: str, name: str = "") -> PreStructure:
             i += 1
         sections.append((no, head, inline, body))
 
-    relations: list[RelationSymbol] = []
-    functions: list[FunctionSymbol] = []
-    constants: list[str] = []
+    relations: tuple[RelationSymbol, ...] = ()
+    functions: tuple[FunctionSymbol, ...] = ()
+    constants: tuple[str, ...] = ()
     points: tuple[str, ...] = ()
     lower: list[list[Fraction]] = []
     rel_tables: dict[str, dict[tuple[str, ...], Fraction]] = {}
     fun_tables: dict[str, dict[tuple[str, ...], str]] = {}
     const_map: dict[str, str] = {}
     seen_heads: set[str] = set()
-
-    def parse_arity(no: int, text: str) -> int:
-        try:
-            return int(text)
-        except ValueError:
-            raise StructureFormatError(f"line {no}: bad arity {text!r}") from None
-
-    def parse_mod(no: int, arity: int, text: str) -> Modulus:
-        try:
-            m = parse_modulus(text, expected_arity=arity)
-        except ParseError as exc:
-            raise StructureFormatError(f"line {no}: bad modulus: {exc}") from exc
-        if m.arity != arity:
-            raise StructureFormatError(
-                f"line {no}: modulus arity {m.arity} does not match symbol arity {arity}"
-            )
-        return m
 
     for no, head, inline, body in sections:
         words = head.split()
@@ -308,20 +287,10 @@ def parse_structure(text: str, name: str = "") -> PreStructure:
         seen_heads.add(key)
 
         if head == "signature":
-            for bno, line in body:
-                w = line.split(None, 3)
-                if w[0] == "rel" and len(w) == 4:
-                    arity = parse_arity(bno, w[2])
-                    relations.append(RelationSymbol(w[1], arity, parse_mod(bno, arity, w[3])))
-                elif w[0] == "fun" and len(w) == 4:
-                    arity = parse_arity(bno, w[2])
-                    functions.append(FunctionSymbol(w[1], arity, parse_mod(bno, arity, w[3])))
-                elif w[0] == "const" and len(w) == 2:
-                    constants.append(w[1])
-                else:
-                    raise StructureFormatError(
-                        f"line {bno}: expected 'rel NAME ARITY MOD', 'fun NAME ARITY MOD' or 'const NAME'"
-                    )
+            try:
+                relations, functions, constants = parse_declarations(body)
+            except ParseError as exc:
+                raise StructureFormatError(f"line {exc.line}: {exc.message}") from exc
         elif head == "points":
             names: list[str] = []
             for _, line in body:
@@ -372,7 +341,7 @@ def parse_structure(text: str, name: str = "") -> PreStructure:
             raise StructureFormatError(f"[metric] row {i} needs {i} entries, got {len(row)}")
 
     try:
-        sig = Signature(tuple(relations), tuple(functions), tuple(constants))
+        sig = Signature(relations, functions, constants)
     except ValueError as exc:
         raise StructureFormatError(str(exc)) from exc
 
@@ -401,12 +370,7 @@ def parse_structure(text: str, name: str = "") -> PreStructure:
 def load_structure(source: str | Path) -> PreStructure:
     """Parse and validate; raises StructureFormatError / StructureInvalid."""
     path = Path(source)
-    text = path.read_text(encoding="utf-8")
-    s = parse_structure(text, name=path.stem)
-    violations = validate(s)
-    if violations:
-        raise StructureInvalid(violations)
-    return s
+    return loads_structure(path.read_text(encoding="utf-8"), name=path.stem)
 
 
 def loads_structure(text: str, name: str = "") -> PreStructure:

@@ -27,7 +27,7 @@ test suite checks that exhaustively.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
 
@@ -45,8 +45,6 @@ from .segments import SegmentConnective
 
 METRIC_SYMBOL = "d"
 _VAR_RE = re.compile(r"^v(\d+)$")
-
-Span = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -122,20 +120,17 @@ EMPTY_SIGNATURE = Signature()
 @dataclass(frozen=True)
 class Var:
     index: int
-    span: Span | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class ConstTerm:
     name: str
-    span: Span | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Apply:
     function: str
     args: tuple["Term", ...]
-    span: Span | None = field(default=None, compare=False, repr=False)
 
 
 Term = Var | ConstTerm | Apply
@@ -164,13 +159,11 @@ def term_size(t: Term) -> int:
 class Atomic:
     relation: str  # relation symbol name, or "d"
     args: tuple[Term, ...]
-    span: Span | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class ConstF:
     value: Fraction
-    span: Span | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "value", require_unit(Fraction(self.value), "constant"))
@@ -179,13 +172,11 @@ class ConstF:
 @dataclass(frozen=True)
 class MinF:
     items: tuple["Formula", ...]
-    span: Span | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class MaxF:
     items: tuple["Formula", ...]
-    span: Span | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -197,7 +188,6 @@ class PwlF:
 
     breakpoints: tuple[tuple[Fraction, Fraction], ...]
     arg: "Formula"
-    span: Span | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         bps = tuple((Fraction(x), Fraction(y)) for x, y in self.breakpoints)
@@ -230,7 +220,6 @@ class SegF:
 
     segment: SegmentConnective
     args: tuple["Formula", ...]
-    span: Span | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.args) != self.segment.arity:
@@ -241,14 +230,12 @@ class SegF:
 class Sup:
     var: int
     body: "Formula"
-    span: Span | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Inf:
     var: int
     body: "Formula"
-    span: Span | None = field(default=None, compare=False, repr=False)
 
 
 Formula = Atomic | ConstF | MinF | MaxF | PwlF | SegF | Sup | Inf
@@ -297,35 +284,6 @@ def subformulas(phi: Formula) -> Iterator[Formula]:
             yield from subformulas(f)
     elif isinstance(phi, (Sup, Inf)):
         yield from subformulas(phi.body)
-
-
-def validate_formula(phi: Formula, sig: Signature) -> None:
-    """Raise on unknown symbols or arity mismatches."""
-
-    def check_term(t: Term) -> None:
-        if isinstance(t, Var):
-            return
-        if isinstance(t, ConstTerm):
-            if not sig.is_constant(t.name):
-                raise ValueError(f"unknown constant {t.name!r}")
-            return
-        f = sig.function(t.function)
-        if len(t.args) != f.arity:
-            raise ValueError(
-                f"function {f.name} expects {f.arity} arguments, got {len(t.args)}"
-            )
-        for a in t.args:
-            check_term(a)
-
-    for sub in subformulas(phi):
-        if isinstance(sub, Atomic):
-            r = sig.relation(sub.relation)
-            if len(sub.args) != r.arity:
-                raise ValueError(
-                    f"relation {r.name} expects {r.arity} arguments, got {len(sub.args)}"
-                )
-            for t in sub.args:
-                check_term(t)
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,26 @@ def test_modulus_floor_sqrt():
     assert table["1/4"] == "1/2"  # envelope of a concave table is the table
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--grid", "0"], "step and bound must be positive rationals"),
+        (["--bound", "-1"], "step and bound must be positive rationals"),
+        (["--grid", "1/100000"],
+         "sample coordinates refine to 800001 axis points; use a coarser grid"),
+    ],
+)
+def test_modulus_floor_refusals_are_messages(args, message):
+    proc = subprocess.run(
+        [sys.executable, "-m", "mscott", "modulus-floor", "--fn", "square", *args],
+        capture_output=True,
+        text=True,
+        cwd=PKG_ROOT,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {message}\n"
+
+
 def test_eval_formula_from_file(tmp_path):
     f = tmp_path / "phi.msf"
     f.write_text("sup v1 . d(v0, v1)\n")
@@ -209,6 +229,42 @@ def test_eval_formula_file_signature_header(tmp_path):
     )
     assert proc.returncode == 1
     assert "signature" in proc.stderr
+
+
+_REL_DEMO_HEADER = (
+    "mscott/1\n[signature]\nrel R 1 linear(1)\nfun f 1 linear(1)\nconst c\n[formula]\n"
+)
+
+
+@pytest.mark.parametrize(
+    "formula, file_text, message",
+    [
+        ("latmax(R(v0), latmin(d(v0, v1), Q(v1)))", None,
+         "1:33: unknown relation symbol 'Q'"),
+        ("latmax(R(v0), latmin(d(v0, v1), R(v0, v1)))", None,
+         "1:33: relation R expects 1 arguments, got 2"),
+        (None, "# distance\n\nsup v1 . d(g(v0), v1)\n", "3:12: unknown function symbol 'g'"),
+        (None, _REL_DEMO_HEADER + "latmax(R(v0), d(e, v0))\n", "7:17: unknown constant 'e'"),
+        (None, _REL_DEMO_HEADER + "latmax(R(v0), d;c, v0))\n", "7:16: expected '(', found ';'"),
+        (None, "[signature]\nrel R 1 linear(1)\nfun f 1 bogus(1)\n[formula]\nR(v0)",
+         "3:9: bad modulus: 1:1: unknown modulus form 'bogus'"),
+        (None, "junk\n[formula]\nd(v0, v1)",
+         "1:1: expected 'mscott/1' or '[signature]' before [formula]"),
+    ],
+)
+def test_formula_errors_carry_file_positions(tmp_path, formula, file_text, message):
+    if formula is None:
+        path = tmp_path / "phi.msf"
+        path.write_text(file_text)
+        formula = f"@{path}"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mscott", "eval", str(DATA / "rel_demo.ms"), formula, "u,v"],
+        capture_output=True,
+        text=True,
+        cwd=PKG_ROOT,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: formula: {message}\n"
 
 
 def test_fixpoint_limit_truncates():
@@ -279,6 +335,8 @@ def test_fixpoint_tiny_thresholds_exact():
         ["scott-rank", str(DATA / "three_point.ms"), "--stage-cap", "0"],
         ["fixpoint", str(DATA / "three_point.ms"), "--q", "1/10", "--stage-cap", "-1"],
         ["fixpoint", str(DATA / "three_point.ms"), "--q", "1/10", "--limit", "-3"],
+        ["fixpoint", str(DATA / "three_point.ms"), "--q", "1/10", "--table-cap", "0"],
+        ["scott-rank", str(DATA / "three_point.ms"), "--table-cap", "-3"],
     ],
 )
 def test_out_of_range_option_is_usage_error(args):

@@ -20,7 +20,7 @@ from mscott.moduli import (
     induced_modulus_exact,
     largest_modulus_below,
 )
-from mscott.rationals import RatGrid
+from mscott.rationals import RatGrid, format_rational, format_vec
 
 OMEGA = SumWeakModulus()
 PKG_ROOT = Path(__file__).resolve().parent.parent
@@ -149,6 +149,27 @@ def test_envelope_rejects_bad_input():
         largest_modulus_below({(F(0),): F(0), (F(1, 2),): F(1), (F(1),): F(1, 2)}, 4)
     with pytest.raises(ValueError):
         largest_modulus_below(lambda p: p[0], 4)  # callable without grid
+
+
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_envelope_names_the_first_decrease_of_a_pairwise_scan(values):
+    samples = {(F(0),): F(0)} | {(F(i + 1, 8),): F(v, 8) for i, v in enumerate(values)}
+    items = sorted(samples.items())
+    first = next(
+        ((p, vp, q, vq) for p, vp in items for q, vq in items if p <= q and vp > vq), None
+    )
+    if first is None:
+        largest_modulus_below(samples, 4)
+        return
+    p, vp, q, vq = first
+    message = (
+        f"f decreases from {format_vec(p)} to {format_vec(q)}: "
+        f"{format_rational(vp)} > {format_rational(vq)}"
+    )
+    with pytest.raises(ValueError) as info:
+        largest_modulus_below(samples, 4)
+    assert str(info.value) == message
 
 
 def test_envelope_respects_nice_domain():

@@ -195,7 +195,8 @@ _FORMULA_BITS = [
     "0", "1", "2", "1/2", "0/0", "-1", "9" * 5000, "sup ", "inf ", "latmin(", "latmax(",
     "const(", "pwl(", "seg(", "linear(", "capped(", "zero", "zero(", "maxof(",
     "polymax(", "compose(", "(0,0)", "(1,1)", "(0)", "(1)", " ", "\n", "#",
-    "[formula]", "[signature]", "rel R 1 linear(1)\n",
+    "[formula]", "[signature]", "rel R 1 linear(1)\n", "mscott/1\n", "fun f 1 linear(1)\n",
+    "const c\n", "[points]", "junk\n",
 ]
 _STRUCTURE_LINES = [
     "[signature]", "[points]",
