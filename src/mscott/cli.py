@@ -4,7 +4,8 @@ Deterministic output: identical inputs and flags produce byte-identical
 output (exact arithmetic, fixed enumeration order, sorted JSON keys).
 
 Exit codes: 0 success, 1 domain rejection (validation or side-condition
-failure), 2 usage error.
+failure; a command raises ``ValueError`` and ``main`` prints it as one
+``error:`` line), 2 usage error.
 """
 
 from __future__ import annotations
@@ -22,16 +23,16 @@ from .family import enumerate_family
 from .moduli import largest_modulus_below, weak_modulus
 from .parser import ParseError, parse_formula, parse_formula_file, print_formula
 from .rationals import ONE, RatGrid, format_rational, parse_rational
-from .scott import BFEngine, EngineConfig, TableBudgetError
+from .scott import BFEngine, EngineConfig
 from .structures import (
     PreStructure,
     StructureFormatError,
     StructureInvalid,
-    load_structure,
+    loads_structure,
     validate as validate_structure,
     parse_structure,
 )
-from .syntax import EMPTY_SIGNATURE, Signature
+from .syntax import EMPTY_SIGNATURE
 
 
 def _emit(payload: dict, as_json: bool, text_lines: list[str]) -> None:
@@ -42,28 +43,35 @@ def _emit(payload: dict, as_json: bool, text_lines: list[str]) -> None:
             click.echo(line)
 
 
-def _fail(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(1)
-
-
-def _load(path: str) -> PreStructure:
+def _read(path: str, what: str = "file") -> str:
+    """The UTF-8 text of an input file; a file that cannot be read is a
+    refusal that names it."""
     try:
-        return load_structure(path)
+        return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
-        _fail(f"no such file: {path}")
+        raise ValueError(f"no such {what}: {path}") from None
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def _load(path: str, check: bool = True) -> PreStructure:
+    """The structure file at PATH, validated unless ``check`` is false."""
+    text, name = _read(path), Path(path).stem
+    try:
+        return loads_structure(text, name=name) if check else parse_structure(text, name=name)
     except StructureFormatError as exc:
-        _fail(f"{path}: {exc}")
+        raise ValueError(f"{path}: {exc}") from None
     except StructureInvalid as exc:
-        _fail(f"{path}: invalid structure: {exc}")
-    raise AssertionError("unreachable")
+        raise ValueError(f"{path}: invalid structure: {exc}") from None
 
 
 def _tuple_arg(text: str, s: PreStructure) -> tuple[str, ...]:
     parts = tuple(p.strip() for p in text.split(",") if p.strip())
     for p in parts:
         if p not in s.points:
-            _fail(f"point {p!r} not in the structure (points: {' '.join(s.points)})")
+            raise ValueError(f"point {p!r} not in the structure (points: {' '.join(s.points)})")
     return parts
 
 
@@ -71,24 +79,26 @@ def _rat_arg(text: str, what: str) -> Fraction:
     try:
         return parse_rational(text)
     except ValueError as exc:
-        _fail(f"bad {what}: {exc}")
-    raise AssertionError("unreachable")
+        raise ValueError(f"bad {what}: {exc}") from None
 
 
 def _decimal(q: Fraction) -> str:
     return f"{float(q):.6g}"
 
 
-def _config(family: int, max_arity: int, stage_cap: int, table_cap: int | None) -> EngineConfig:
-    return EngineConfig(
-        family_size=family,
-        max_arity=max_arity,
-        stage_cap=stage_cap,
-        table_cap=table_cap,
-    )
+class _Main(click.Group):
+    """The command group.  Commands refuse bad input by raising
+    ``ValueError``; it is reported here as one ``error:`` line, exit 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
 
 
-@click.group()
+@click.group(cls=_Main)
 def main() -> None:
     """Exact continuous-logic toolkit for finite metric structures."""
 
@@ -98,15 +108,7 @@ def main() -> None:
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output")
 def cmd_validate(structure: str, as_json: bool) -> None:
     """Check every structure axiom exhaustively; exit 1 with witnesses on failure."""
-    try:
-        text = Path(structure).read_text(encoding="utf-8")
-        parsed = parse_structure(text, name=Path(structure).stem)
-    except FileNotFoundError:
-        _fail(f"no such file: {structure}")
-        return
-    except StructureFormatError as exc:
-        _fail(f"{structure}: {exc}")
-        return
+    parsed = _load(structure, check=False)
     violations = validate_structure(parsed)
     payload = {
         "command": "validate",
@@ -134,21 +136,13 @@ def cmd_eval(structure: str, formula: str, point_tuple: str, as_json: bool, deci
     s = _load(structure)
     from_file = formula.startswith("@")
     if from_file:
-        try:
-            formula = Path(formula[1:]).read_text(encoding="utf-8")
-        except FileNotFoundError:
-            _fail(f"no such formula file: {formula[1:]}")
+        formula = _read(formula[1:], "formula file")
     try:
         phi = (parse_formula_file if from_file else parse_formula)(formula, s.signature)
     except ParseError as exc:
-        _fail(f"formula: {exc}")
-        return
+        raise ValueError(f"formula: {exc}") from None
     env = _tuple_arg(point_tuple, s)
-    try:
-        value = Evaluator(s).formula(phi, env)
-    except ValueError as exc:
-        _fail(str(exc))
-        return
+    value = Evaluator(s).formula(phi, env)
     text = f"{format_rational(value)}"
     if decimal:
         text += f"  (~ {_decimal(value)})"
@@ -163,7 +157,7 @@ def cmd_eval(structure: str, formula: str, point_tuple: str, as_json: bool, deci
 
 
 @main.command("dense-family")
-@click.option("--arity", required=True, type=int)
+@click.option("--arity", required=True, type=click.IntRange(min=1))
 @click.option("--count", required=True, type=click.IntRange(min=0))
 @click.option("--omega", "omega_name", default="sum", show_default=True)
 @click.option("--signature", "sig_file", type=click.Path(), default=None,
@@ -172,16 +166,8 @@ def cmd_eval(structure: str, formula: str, point_tuple: str, as_json: bool, deci
 def cmd_dense_family(arity: int, count: int, omega_name: str, sig_file: str | None,
                      as_json: bool) -> None:
     """Print the first COUNT dense-family members at the given arity."""
-    try:
-        omega = weak_modulus(omega_name)
-    except ValueError as exc:
-        _fail(str(exc))
-        return
-    sig: Signature = EMPTY_SIGNATURE
-    if sig_file is not None:
-        sig = _load(sig_file).signature
-    if arity < 1:
-        _fail("need --arity >= 1")
+    omega = weak_modulus(omega_name)
+    sig = EMPTY_SIGNATURE if sig_file is None else _load(sig_file).signature
     lines = [print_formula(phi) for phi in enumerate_family(sig, omega, arity, count)]
     payload = {
         "command": "dense-family",
@@ -209,22 +195,18 @@ def cmd_modulus_floor(target: str, step_text: str, bound_text: str, kmax: int, a
     targets sample directly on the grid."""
     step = _rat_arg(step_text, "--grid")
     bound = _rat_arg(bound_text, "--bound")
-    try:
-        grid = RatGrid(1, step, bound)
-        if target == "sqrt":
-            samples = {(v * v,): v for v in grid.axis()}
-            env = largest_modulus_below(samples, kmax)
-        else:
-            fns = {
-                "identity": lambda p: p[0],
-                "square": lambda p: p[0] * p[0],
-                "cap2": lambda p: min(ONE, 2 * p[0]),
-            }
-            env = largest_modulus_below(fns[target], kmax, grid=grid)
-        table = env.table()
-    except ValueError as exc:
-        _fail(str(exc))
-        return
+    grid = RatGrid(1, step, bound)
+    if target == "sqrt":
+        samples = {(v * v,): v for v in grid.axis()}
+        env = largest_modulus_below(samples, kmax)
+    else:
+        fns = {
+            "identity": lambda p: p[0],
+            "square": lambda p: p[0] * p[0],
+            "cap2": lambda p: min(ONE, 2 * p[0]),
+        }
+        env = largest_modulus_below(fns[target], kmax, grid=grid)
+    table = env.table()
     rows = [(format_rational(p[0]), format_rational(v)) for p, v in table]
     payload = {
         "command": "modulus-floor",
@@ -248,8 +230,8 @@ def cmd_r0(structure: str, tuple_a: str, tuple_b: str, family: int, as_json: boo
     s = _load(structure)
     a, b = _tuple_arg(tuple_a, s), _tuple_arg(tuple_b, s)
     if len(a) != len(b):
-        _fail("tuples must have the same length (unequal lengths are a "
-              "threshold-operator clause, not an r0 input)")
+        raise ValueError("tuples must have the same length (unequal lengths are a "
+                         "threshold-operator clause, not an r0 input)")
     engine = BFEngine(s, config=EngineConfig(family_size=family))
     value, meta = engine.r0_pair(a, b)
     payload = {
@@ -271,33 +253,23 @@ def cmd_r0(structure: str, tuple_a: str, tuple_b: str, family: int, as_json: boo
 
 @main.command("ralpha")
 @click.argument("structure", type=click.Path())
-@click.option("--stage", required=True, type=int)
-@click.option("--arity", required=True, type=int)
+@click.option("--stage", required=True, type=click.IntRange(min=0))
+@click.option("--arity", required=True, type=click.IntRange(min=1))
 @click.option("--family", default=200, show_default=True, type=click.IntRange(min=0))
-@click.option("--table-cap", default=None, type=int,
-              help="arity+stage window (default: exactly arity+stage)")
 @click.option("--json", "as_json", is_flag=True)
-def cmd_ralpha(structure: str, stage: int, arity: int, family: int,
-               table_cap: int | None, as_json: bool) -> None:
-    """Print the full stage table at one arity (all tuple pairs)."""
+def cmd_ralpha(structure: str, stage: int, arity: int, family: int, as_json: bool) -> None:
+    """Print the full stage table at one arity (all tuple pairs); the
+    window is exactly arity+stage."""
     s = _load(structure)
-    if stage < 0 or arity < 1:
-        _fail("need --stage >= 0 and --arity >= 1")
-    cap = table_cap if table_cap is not None else arity + stage
-    if cap < arity + stage:
-        _fail(f"--table-cap must be at least arity+stage = {arity + stage}")
     engine = BFEngine(
         s,
-        config=EngineConfig(family_size=family, max_arity=arity, stage_cap=max(stage, 1), table_cap=cap),
+        config=EngineConfig(family_size=family, max_arity=arity, stage_cap=max(stage, 1),
+                            table_cap=arity + stage),
     )
-    try:
-        rows = [
-            {"a": list(a), "b": list(b), "value": format_rational(v)}
-            for a, b, v in engine.pairs(arity, stage)
-        ]
-    except TableBudgetError as exc:
-        _fail(str(exc))
-        return
+    rows = [
+        {"a": list(a), "b": list(b), "value": format_rational(v)}
+        for a, b, v in engine.pairs(arity, stage)
+    ]
     payload = {
         "command": "ralpha",
         "structure": s.name,
@@ -323,12 +295,9 @@ def cmd_scott_rank(structure: str, max_arity: int, family: int, stage_cap: int,
                    table_cap: int | None, as_json: bool) -> None:
     """Least stage at which the computed stage tables stabilize."""
     s = _load(structure)
-    engine = BFEngine(s, config=_config(family, max_arity, stage_cap, table_cap))
-    try:
-        report = engine.scott_rank()
-    except TableBudgetError as exc:
-        _fail(str(exc))
-        return
+    engine = BFEngine(s, config=EngineConfig(family_size=family, max_arity=max_arity,
+                                             stage_cap=stage_cap, table_cap=table_cap))
+    report = engine.scott_rank()
     payload = {
         "command": "scott-rank",
         "structure": s.name,
@@ -368,13 +337,10 @@ def cmd_fixpoint(structure: str, q_text: str, stage_cap: int, max_arity: int,
     s = _load(structure)
     q = _rat_arg(q_text, "--q")
     if q <= 0:
-        _fail("--q must be positive")
-    engine = BFEngine(s, config=_config(family, max_arity, stage_cap, table_cap))
-    try:
-        trace = engine.gamma_fixpoint(q)
-    except TableBudgetError as exc:
-        _fail(str(exc))
-        return
+        raise ValueError("--q must be positive")
+    engine = BFEngine(s, config=EngineConfig(family_size=family, max_arity=max_arity,
+                                             stage_cap=stage_cap, table_cap=table_cap))
+    trace = engine.gamma_fixpoint(q)
     total = 0
     shown = []
     for n in range(1, engine.cap + 1):

@@ -1,9 +1,9 @@
 """Exact interpretation of terms and formulas in a finite structure.
 
 Sup/inf quantifiers are exact max/min over the (finite) point set; no
-approximation parameter exists on this path.  Values are cached per
-evaluator, keyed by (formula, environment); caching is never observable
-in results.
+approximation parameter exists on this path.  Nothing is cached: memory
+stays at the depth of the formula, not the number of (subformula,
+assignment) pairs a quantifier visits.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ class Evaluator:
     def __init__(self, structure: PreStructure, domain: tuple[str, ...] | None = None):
         self.s = structure
         self.domain = domain if domain is not None else structure.points
-        self._cache: dict[tuple[Formula, Env], Fraction] = {}
 
     def term(self, t: Term, env: Env) -> str:
         if isinstance(t, Var):
@@ -61,15 +60,6 @@ class Evaluator:
         return table[args]
 
     def formula(self, phi: Formula, env: Env) -> Fraction:
-        key = (phi, env)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        v = self._formula(phi, env)
-        self._cache[key] = v
-        return v
-
-    def _formula(self, phi: Formula, env: Env) -> Fraction:
         if isinstance(phi, Atomic):
             pts = tuple(self.term(t, env) for t in phi.args)
             if phi.relation == "d":

@@ -399,10 +399,6 @@ class ModulusFailure:
     lhs: Fraction
     rhs: Fraction
 
-    def describe(self) -> str:
-        at = format_vec(self.r) + ("" if self.s is None else " + " + format_vec(self.s))
-        return f"{self.kind} fails at {at}: {format_rational(self.lhs)} > {format_rational(self.rhs)}"
-
 
 @dataclass(frozen=True)
 class ModulusCheckReport:

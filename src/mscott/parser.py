@@ -401,7 +401,8 @@ def parse_formula_file(text: str, signature: Signature | None = None) -> Formula
     block of ``rel``/``fun``/``const`` lines, as in a ``.ms`` file; ``#``
     starts a comment.  A header block must agree with the ambient signature
     when one is supplied (it re-declares the symbols the formula relies
-    on).  Errors carry the line:column of the file itself."""
+    on); without one, the body is checked against the header's block.
+    Errors carry the line:column of the file itself."""
     head, marker, body = text.partition("[formula]")
     if not marker:
         return parse_formula(text, signature)
@@ -422,7 +423,9 @@ def parse_formula_file(text: str, signature: Signature | None = None) -> Formula
             declared = Signature(*symbols)
         except ValueError as exc:
             raise ParseError(str(exc), no, col) from exc
-        if signature is not None and declared != signature:
+        if signature is None:
+            signature = declared
+        elif declared != signature:
             raise ParseError(
                 "formula file signature does not match the structure's signature", no, col
             )

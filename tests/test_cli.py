@@ -24,6 +24,7 @@ def run_cli(*args, env_extra=None, expect=0):
         env=env,
     )
     assert proc.returncode == expect, (args, proc.returncode, proc.stdout, proc.stderr)
+    assert "Traceback" not in proc.stderr, (args, proc.stderr)
     return proc.stdout
 
 
@@ -337,6 +338,9 @@ def test_fixpoint_tiny_thresholds_exact():
         ["fixpoint", str(DATA / "three_point.ms"), "--q", "1/10", "--limit", "-3"],
         ["fixpoint", str(DATA / "three_point.ms"), "--q", "1/10", "--table-cap", "0"],
         ["scott-rank", str(DATA / "three_point.ms"), "--table-cap", "-3"],
+        ["ralpha", str(DATA / "three_point.ms"), "--stage", "-1", "--arity", "1"],
+        ["ralpha", str(DATA / "three_point.ms"), "--stage", "0", "--arity", "0"],
+        ["dense-family", "--arity", "0", "--count", "3"],
     ],
 )
 def test_out_of_range_option_is_usage_error(args):
@@ -383,7 +387,7 @@ def test_eval_at_the_nesting_limit():
     [
         ["scott-rank", str(DATA / "square.ms"), "--table-cap", "7"],
         ["fixpoint", str(DATA / "square.ms"), "--q", "1/10", "--table-cap", "7"],
-        ["ralpha", str(DATA / "square.ms"), "--stage", "0", "--arity", "1", "--table-cap", "7"],
+        ["ralpha", str(DATA / "square.ms"), "--stage", "3", "--arity", "4"],
     ],
 )
 def test_table_budget_refused_with_a_message(args):
@@ -397,3 +401,37 @@ def test_table_budget_refused_with_a_message(args):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: the stage-0 tables of arities 1..7 would hold ")
     assert "Traceback" not in proc.stderr
+
+
+_READERS = {
+    "validate": lambda path: ["validate", path],
+    "eval": lambda path: ["eval", path, "d(v0, v1)", "x,y"],
+    "eval @file": lambda path: ["eval", str(DATA / "three_point.ms"), f"@{path}", "x,y"],
+    "dense-family --signature": lambda path: [
+        "dense-family", "--arity", "1", "--count", "3", "--signature", path],
+    "r0": lambda path: ["r0", path, "x", "y"],
+    "ralpha": lambda path: ["ralpha", path, "--stage", "0", "--arity", "1"],
+    "scott-rank": lambda path: ["scott-rank", path],
+    "fixpoint": lambda path: ["fixpoint", path, "--q", "1/10"],
+}
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+@pytest.mark.parametrize("command", list(_READERS))
+def test_unreadable_input_is_one_error_line(tmp_path, command, kind):
+    path = tmp_path / "input.ms"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"mscott/1\n# caf\xe9\n[signature]\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "mscott", *_READERS[command](str(path))],
+        capture_output=True,
+        text=True,
+        cwd=PKG_ROOT,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ") and str(path) in line

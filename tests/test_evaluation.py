@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -160,3 +161,19 @@ def test_evaluator_cache_transparent(three_point):
     again = ev.formula(phi, ("x",))
     fresh = Evaluator(three_point).formula(phi, ("x",))
     assert first == again == fresh
+
+
+def test_nested_quantifiers_use_bounded_memory(data_dir):
+    # five nested sups over nine points visit 9^5 assignments; memory
+    # must stay at the depth of the formula, not grow with the visits
+    line = load_structure(data_dir / "line9.ms")
+    phi = parse_formula("sup v1 . sup v2 . sup v3 . sup v4 . sup v5 . d(v0, v5)", line.signature)
+    ev = Evaluator(line)
+    tracemalloc.start()
+    try:
+        value = ev.formula(phi, (line.points[0],))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == 1
+    assert peak < 1 << 20

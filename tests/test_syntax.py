@@ -88,6 +88,20 @@ def test_signature_validation_errors():
         parse_formula("d(g(v0), v1)", SIG)  # unknown function
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("Q(v0, v0)", "4:1: unknown relation symbol 'Q'"),
+        ("R(v0, v1)", "4:1: relation R expects 1 arguments, got 2"),
+    ],
+)
+def test_formula_file_body_checked_against_its_header(body, message):
+    # no ambient signature: the header's [signature] block is the one checked
+    with pytest.raises(ParseError) as err:
+        parse_formula_file("[signature]\nrel R 1 linear(1)\n[formula]\n" + body)
+    assert str(err.value) == message
+
+
 def test_modulus_roundtrip():
     for text in [
         "linear(1,1)",
