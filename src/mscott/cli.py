@@ -186,7 +186,7 @@ _FLOOR_TARGETS = ("identity", "square", "sqrt", "cap2")
 @click.option("--fn", "target", type=click.Choice(_FLOOR_TARGETS), required=True)
 @click.option("--grid", "step_text", default="1/8", show_default=True, help="grid step")
 @click.option("--bound", "bound_text", default="1", show_default=True)
-@click.option("--kmax", default=8, show_default=True, type=int)
+@click.option("--kmax", default=8, show_default=True, type=click.IntRange(min=1))
 @click.option("--json", "as_json", is_flag=True)
 def cmd_modulus_floor(target: str, step_text: str, bound_text: str, kmax: int, as_json: bool) -> None:
     """Largest-modulus-below envelope of a sampled 1-d target function.

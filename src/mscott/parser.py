@@ -444,8 +444,8 @@ def parse_declarations(
 ) -> tuple[tuple[RelationSymbol, ...], tuple[FunctionSymbol, ...], tuple[str, ...]]:
     """The symbols of a ``[signature]`` block, from (line number, text) pairs
     of the form ``rel NAME ARITY MOD``, ``fun NAME ARITY MOD`` or
-    ``const NAME``.  A ParseError names the line, and a bad modulus the
-    column where it starts, followed by its own error."""
+    ``const NAME``.  A ParseError names the line and, for a bad modulus,
+    the column of the offending token within the line."""
     relations: list[RelationSymbol] = []
     functions: list[FunctionSymbol] = []
     constants: list[str] = []
@@ -461,7 +461,7 @@ def parse_declarations(
             try:
                 m = parse_modulus(w[3], expected_arity=arity)
             except ParseError as exc:
-                raise ParseError(f"bad modulus: {exc}", no, col) from exc
+                raise ParseError(f"bad modulus: {exc.message}", no, col + exc.column - 1) from exc
             if m.arity != arity:
                 raise ParseError(
                     f"modulus arity {m.arity} does not match symbol arity {arity}", no, col

@@ -24,7 +24,9 @@ the stage before, so every stage holds only stage-0 values, and every
 later question (threshold, equality, stability) is about their order.
 Each engine therefore keeps one ascending ``codebook`` of the distinct
 stage-0 values as Fractions, shared by every arity and stage, and every
-stage table holds small unsigned integer codes into it.
+stage table holds small unsigned integer codes into it.  Stage 0 evaluates
+segment connectives in Python integers over one common denominator
+(``SegmentConnective.column``), not Fraction by Fraction.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .family import family_stack
 from .moduli import SumWeakModulus
 from .rationals import ZERO, format_rational, lcm_denominator
 from .structures import PreStructure
-from .syntax import Atomic, Formula, basic_atomics, eval_connective
+from .syntax import Atomic, ConstF, Formula, MaxF, MinF, PwlF, SegF, basic_atomics
 
 _AUTO_TUPLE_BUDGET = 2000  # top-arity tuple count the auto cap will allow
 # Stage-0 cells a window may hold, checked before any table exists.  A
@@ -170,18 +172,39 @@ class BFEngine:
         n-tuples by default).
 
         ``values`` maps each value to its code and gives unseen values the
-        next code.  Each connective is evaluated once per distinct tuple
-        of atom values; those tuples are found once per tuple of atomics."""
+        next code.  Each member is evaluated bottom-up, one column per
+        subformula, over the distinct tuples of atom values (found once per
+        tuple of atomics), and its segments in integers over one common
+        denominator; ``eval_connective`` is the reference tests compare to."""
         ev = Evaluator(self.s)
         if tuples is None:
             tuples = self.tuples(n)
 
-        def codes(vs) -> np.ndarray:
-            return np.array([values.setdefault(v, len(values)) for v in vs], dtype=np.intp)
+        def codes(vs: list[Fraction]) -> np.ndarray:
+            # Fraction hashing is slow: look each distinct object up once
+            first = {id(v): v for v in vs}
+            code = {i: values.setdefault(v, len(values)) for i, v in first.items()}
+            return np.array([code[id(v)] for v in vs], dtype=np.intp)
+
+        def column(phi: Formula, at: dict[Atomic, list[Fraction]], k: int) -> list[Fraction]:
+            if isinstance(phi, Atomic):
+                return at[phi]
+            if isinstance(phi, ConstF):
+                return [phi.value] * k
+            if isinstance(phi, (MinF, MaxF)):
+                pick = min if isinstance(phi, MinF) else max
+                return [pick(vs) for vs in zip(*(column(f, at, k) for f in phi.items))]
+            if isinstance(phi, PwlF):
+                arg = column(phi.arg, at, k)
+                image = {v: phi.apply(v) for v in set(arg)}
+                return [image[v] for v in arg]
+            if isinstance(phi, SegF):
+                return phi.segment.column([column(f, at, k) for f in phi.args])
+            raise TypeError(type(phi))
 
         atom_cols: dict[Atomic, list[Fraction]] = {}
-        # atomics -> (distinct atom-value tuples, which one each n-tuple has)
-        points: dict[tuple[Atomic, ...], tuple[list[tuple[Fraction, ...]], np.ndarray]] = {}
+        # atomics -> (atom columns over the distinct atom tuples, their count, inverse)
+        points: dict[tuple[Atomic, ...], tuple[dict[Atomic, list[Fraction]], int, np.ndarray]] = {}
         rows: dict[bytes, np.ndarray] = {}
         for phi in self.family(n):
             atomics = basic_atomics(phi)
@@ -192,9 +215,10 @@ class BFEngine:
                 cols = [atom_cols[a] for a in atomics]
                 keys = np.array([codes(c) for c in cols], dtype=np.intp).reshape(len(cols), len(tuples))
                 _, first, inverse = np.unique(keys.T, axis=0, return_index=True, return_inverse=True)
-                points[atomics] = ([tuple(c[i] for c in cols) for i in first], inverse.reshape(-1))
-            zs, inverse = points[atomics]
-            row = codes(eval_connective(phi, dict(zip(atomics, z))) for z in zs)[inverse]
+                at = {a: [c[i] for i in first] for a, c in zip(atomics, cols)}
+                points[atomics] = (at, len(first), inverse.reshape(-1))
+            at, k, inverse = points[atomics]
+            row = codes(column(phi, at, k))[inverse]
             rows.setdefault(row.tobytes(), row)
         return np.array(list(rows.values()), dtype=np.intp).reshape(len(rows), len(tuples))
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Sequence
 
-from .moduli import Modulus, pi_fold
+from .moduli import Linear, Modulus, PolyhedralMax, pi_fold
 from .rationals import (
     ONE,
     RatGrid,
@@ -72,6 +73,39 @@ class SegmentConnective:
             return self.a
         rise = (self.b - self.a) * self.delta(pi_fold(vec_sub(zs, self.x))) / self.span
         return min(ONE, self.a + rise)
+
+    def column(self, cols: Sequence[Sequence[Fraction]]) -> list[Fraction]:
+        """``[self(z) for z in zip(*cols)]``, where ``cols[i]`` holds the
+        exact values of coordinate i at every point.
+
+        For a ``Linear`` or ``PolyhedralMax`` delta no Fraction arithmetic
+        runs per point.  With L the common denominator of the points and of
+        x, and Lc that of the delta's rows, D(pi(z - x)) = P / (Lc * L) for
+        P = max_r sum_i C_ri * |Z_i - X_i| over the scaled integers, and one
+        Fraction is built per distinct P.  Other deltas go point by point."""
+        if len(cols) != self.arity:
+            raise ValueError(f"segment of arity {self.arity} applied to {len(cols)} columns")
+        if self.span == 0:
+            return [self.a] * len(cols[0])
+        if not isinstance(self.delta, (Linear, PolyhedralMax)):
+            return [self(z) for z in zip(*cols)]
+        rows = self.delta.rows if isinstance(self.delta, PolyhedralMax) else (self.delta.coeffs,)
+        L = lcm(*{v.denominator for col in cols for v in col}, *(v.denominator for v in self.x))
+        Lc = lcm(*(c.denominator for row in rows for c in row))
+        C = [[c.numerator * (Lc // c.denominator) for c in row] for row in rows]
+        X = [v.numerator * (L // v.denominator) for v in self.x]
+        Z = [[v.numerator * (L // v.denominator) for v in col] for col in cols]
+        ps = []
+        for z in zip(*Z):
+            d = [abs(zi - xi) for zi, xi in zip(z, X)]
+            ps.append(max(sum(c * di for c, di in zip(row, d)) for row in C))
+        # a + slope * P / (Lc * L) = (base + rise * P) / den, clipped at 1
+        slope = (self.b - self.a) / self.span
+        q = slope.denominator * Lc * L
+        base, den = self.a.numerator * q, self.a.denominator * q
+        rise = slope.numerator * self.a.denominator
+        value = {p: ONE if base + rise * p >= den else Fraction(base + rise * p, den) for p in set(ps)}
+        return [value[p] for p in ps]
 
 
 def make_segment(

@@ -248,7 +248,9 @@ _REL_DEMO_HEADER = (
         (None, _REL_DEMO_HEADER + "latmax(R(v0), d(e, v0))\n", "7:17: unknown constant 'e'"),
         (None, _REL_DEMO_HEADER + "latmax(R(v0), d;c, v0))\n", "7:16: expected '(', found ';'"),
         (None, "[signature]\nrel R 1 linear(1)\nfun f 1 bogus(1)\n[formula]\nR(v0)",
-         "3:9: bad modulus: 1:1: unknown modulus form 'bogus'"),
+         "3:9: bad modulus: unknown modulus form 'bogus'"),
+        (None, "[signature]\nrel R 1 linear(1)\nfun f 1 linear(1,x)\n[formula]\nR(v0)",
+         "3:18: bad modulus: expected 'int', found 'x'"),
         (None, "junk\n[formula]\nd(v0, v1)",
          "1:1: expected 'mscott/1' or '[signature]' before [formula]"),
     ],
@@ -341,6 +343,7 @@ def test_fixpoint_tiny_thresholds_exact():
         ["ralpha", str(DATA / "three_point.ms"), "--stage", "-1", "--arity", "1"],
         ["ralpha", str(DATA / "three_point.ms"), "--stage", "0", "--arity", "0"],
         ["dense-family", "--arity", "0", "--count", "3"],
+        ["modulus-floor", "--fn", "square", "--kmax", "0"],
     ],
 )
 def test_out_of_range_option_is_usage_error(args):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from itertools import product
 
@@ -10,7 +11,7 @@ from mscott.scott import BFEngine, EngineConfig, TableBudgetError
 from mscott.structures import (
     PreStructure, automorphisms, build_metric, load_structure, loads_structure, validate,
 )
-from mscott.syntax import Signature
+from mscott.syntax import Signature, basic_atomics, eval_connective
 
 from conftest import codebook_numerators
 
@@ -230,6 +231,43 @@ def test_r0_pair_agrees_with_table_route(data_dir):
                 for b in engine.tuples(n):
                     direct = max(abs(ev.formula(phi, a) - ev.formula(phi, b)) for phi in family)
                     assert engine.r0_pair(a, b)[0] == direct == engine.value(0, a, b)
+
+
+def _decimal_structure(seed, n_points):
+    """Distances k/10^8 in [1/2, 1] with k coprime to 10: valid, and every
+    distance has denominator exactly 10^8."""
+    rng = random.Random(seed)
+    points = tuple(f"w{i}" for i in range(n_points))
+    lower = []
+    for i in range(1, n_points):
+        ks = [rng.randrange(5 * 10**7 + 1, 10**8, 2) for _ in range(i)]
+        lower.append([F(k if k % 5 else k + 2, 10**8) for k in ks])
+    s = PreStructure(signature=Signature(), points=points, metric=build_metric(points, lower))
+    assert validate(s) == []
+    return s
+
+
+def test_stage0_rows_match_reference_evaluator(corpus, data_dir):
+    # The rows come from integer segment columns; the reference is
+    # eval_connective at every n-tuple, for every family member.
+    wide = [_decimal_structure(seed, 3) for seed in (1, 2)]
+    for s in [*corpus, load_structure(data_dir / "rel_demo.ms"), *wide]:
+        cap = 3 if len(s.points) <= 4 else 2  # the reference is slow on 5^3 tuples
+        engine = BFEngine(s, config=EngineConfig(family_size=50, table_cap=cap))
+        ev = Evaluator(s)
+        values: dict = {}
+        for n in range(1, cap + 1):
+            rows = engine._formula_rows(n, values)
+            value_of = list(values)
+            got = [tuple(value_of[c] for c in row) for row in rows]
+            want = {
+                tuple(eval_connective(phi, {a: ev.formula(a, t) for a in basic_atomics(phi)})
+                      for t in engine.tuples(n))
+                for phi in engine.family(n)
+            }
+            assert len(set(got)) == len(got) and set(got) == want, (s.name, n)
+        if s in wide:
+            assert lcm_denominator(values).bit_length() > 40
 
 
 def gamma_fixpoint_oracle(engine, q):

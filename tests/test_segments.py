@@ -2,10 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mscott.moduli import Linear, pi_fold
+from mscott.moduli import CappedLinear, Linear, PolyhedralMax, pi_fold
 from mscott.rationals import RatGrid, vec_sub
 from mscott.segments import (
     Join,
@@ -170,3 +170,46 @@ def test_segment_unit_range(xi, yi, ai):
     seg = make_segment(delta, (x,), (y,), a, b)
     for z in GRID8.axis():
         assert 0 <= seg((z,)) <= 1
+
+
+FINE = st.fractions(0, 1, max_denominator=10**8)  # unit values up to 8-digit denominators
+
+
+@st.composite
+def segments_and_points(draw):
+    """A valid segment of arity 1-3 over a Linear, PolyhedralMax or (not
+    linear) CappedLinear delta, and points of [0,1]^k to evaluate it at."""
+    k = draw(st.integers(1, 3))
+    coeffs = st.tuples(*[st.fractions(0, 4, max_denominator=1000)] * k)
+    delta = draw(st.one_of(
+        st.builds(Linear, coeffs),
+        st.builds(PolyhedralMax, st.lists(coeffs, min_size=1, max_size=3).map(tuple)),
+        st.builds(CappedLinear, st.fractions(F(1, 8), 2, max_denominator=100), coeffs),
+    ))
+    vec = st.tuples(*[FINE] * k)
+    x = draw(vec)
+    y = draw(st.one_of(st.just(x), vec))
+    a = draw(FINE)
+    span = delta(pi_fold(vec_sub(y, x)))
+    b = a + draw(st.fractions(0, 1, max_denominator=10**8)) * min(span, 1 - a)
+    return make_segment(delta, x, y, a, b), draw(st.lists(vec, min_size=1, max_size=12))
+
+
+@given(segments_and_points())
+@settings(max_examples=100, deadline=None)
+# degenerate: constant a
+@example((make_segment(Linear((F(1), F(1))), (F(1, 3), F(1, 7)), (F(1, 3), F(1, 7)),
+                       F(2, 5), F(2, 5)), [(F(0), F(1)), (F(99999999, 10**8), F(1, 3))]))
+# a + rise clips at 1 beyond z = 1/4
+@example((make_segment(PolyhedralMax(((F(2), F(0)), (F(1, 3), F(5)))), (F(0), F(0)),
+                       (F(1, 8), F(0)), F(1, 2), F(3, 4)),
+          [(F(0), F(0)), (F(1, 16), F(0)), (F(1, 4), F(0)), (F(1), F(3, 10**8))]))
+# a delta that is not linear takes the pointwise route
+@example((make_segment(CappedLinear(F(1, 2), (F(1),)), (F(0),), (F(1),), F(0), F(1, 2)),
+          [(F(1, 10**8),), (F(1, 4),), (F(3, 4),)]))
+def test_column_matches_pointwise(case):
+    seg, points = case
+    cols = [[p[i] for p in points] for i in range(seg.arity)]
+    got = seg.column(cols)
+    assert got == [seg(p) for p in points]
+    assert all(type(v) is F for v in got)
