@@ -519,6 +519,22 @@ class NiceDomain:
 _AXIS_LIMIT = 4096
 
 
+def _axis_size(xs: set[Fraction], k_max: int) -> tuple[Fraction, int]:
+    """The spacing of the coarsest uniform axis through the 1-d sample
+    coordinates ``xs`` (1 when all are 0), and its point count up to k_max
+    times the largest.  Refuses an axis past ``_AXIS_LIMIT`` points."""
+    step = Fraction(math.gcd(*(x.numerator for x in xs)) or 1,
+                    math.lcm(*(x.denominator for x in xs)))
+    # Decompositions of up to k_max sample points reach k_max times the
+    # largest sample; tabulate the whole coverable range.
+    count = int(k_max * max(xs) / step) + 1
+    if count > _AXIS_LIMIT:
+        raise ModulusWindowError(
+            f"sample coordinates refine to {count} axis points; use a coarser grid"
+        )
+    return step, count
+
+
 @dataclass(frozen=True)
 class EnvelopeTable(Modulus):
     """The truncated largest-modulus-below envelope of sampled data.
@@ -566,25 +582,7 @@ class EnvelopeTable(Modulus):
         if "axis" in self._cache:
             return self._cache["axis"]
         xs = {p[0] for p, _ in self.samples}
-        top = max(xs)
-        num_gcd = 0
-        den_lcm = 1
-        for x in xs:
-            if x == 0:
-                continue
-            num_gcd = math.gcd(num_gcd, x.numerator)
-            den_lcm = math.lcm(den_lcm, x.denominator)
-        if num_gcd == 0:
-            self._cache["axis"] = ((ZERO,), (ZERO,))
-            return self._cache["axis"]
-        step = Fraction(num_gcd, den_lcm)
-        # Decompositions of up to k_max sample points reach k_max times the
-        # largest sample; tabulate the whole coverable range.
-        count = int(self.k_max * top / step) + 1
-        if count > _AXIS_LIMIT:
-            raise ModulusWindowError(
-                f"sample coordinates refine to {count} axis points; use a coarser grid"
-            )
+        step, count = _axis_size(xs, self.k_max)
         axis = tuple(i * step for i in range(count))
         fvals = {p[0]: v for p, v in self.samples}
         INF = None
@@ -678,11 +676,15 @@ def largest_modulus_below(
     ``f`` is either an explicit mapping from sample points to exact
     values, or a callable sampled on ``grid`` (restricted to ``domain``
     when given).  Rejects data with f(0) != 0, negative values, or a
-    decrease along a comparable sample pair.
+    decrease along a comparable sample pair, and 1-d samples on an axis
+    past ``_AXIS_LIMIT`` points (from the step and bound of a 1-d grid).
     """
     if callable(f) and not isinstance(f, Mapping):
         if grid is None:
             raise ValueError("a callable target needs a grid to sample on")
+        if grid.dimension == 1 and domain is None:
+            # all grid points but the largest, the bound, are multiples of the step
+            _axis_size({min(grid.step, grid.bound), grid.bound}, k_max)
         samples = {}
         for p in grid.points():
             if domain is not None and not domain.contains(p):
@@ -702,6 +704,8 @@ def largest_modulus_below(
         raise ValueError("samples must include the origin")
     if samples[origin] != 0:
         raise ValueError("f(0) must be 0")
+    if n == 1:
+        _axis_size({p[0] for p in samples}, k_max)
     items = sorted(samples.items())
     for p, v in items:
         if v < 0:

@@ -15,9 +15,11 @@ The engine computes, for one finite structure:
 * a triangular table family: stage alpha is available at arity n when
   n + alpha <= table_cap, making the inevitable truncation explicit;
 * the threshold operator at a rational q > 0, whose stages collect,
-  besides length-mismatched pairs, exactly the pairs with r_k > q; its
-  least fixed point and entry stages are compared against the
-  r-threshold predicate by ``oracle_equivalence``.
+  besides length-mismatched pairs, exactly the pairs with r_k > q.
+  Thresholding commutes with min and max, so its step is the same lift
+  on a boolean table (min and max are AND and OR); its least fixed point
+  and entry stages are compared against the r-threshold predicate by
+  ``oracle_equivalence``.
 
 Arithmetic is exact throughout.  Every successor stage is a min/max of
 the stage before, so every stage holds only stage-0 values, and every
@@ -119,6 +121,45 @@ class EquivalenceReport:
     mismatches: tuple[tuple, ...]
     pairs_checked: int
     meta: dict
+
+
+def _stage0(rows: dict[int, np.ndarray], values: dict[Fraction, int]) -> tuple[tuple, dict]:
+    """The codebook, and the stage-0 table of each arity from its rows of
+    codes into ``values``.
+
+    A cell is the max over rows of |v_i - v_j|, so with ``diff[i, j]`` the
+    rank of that difference, a table is a max of ``diff`` entries.  The
+    ranks come from integers over the values' common denominator."""
+    scale = lcm_denominator(values)
+    nums = [v.numerator * (scale // v.denominator) for v in values]  # in code order
+    gaps = sorted({0} | {abs(x - y) for x in nums for y in nums})
+    rank = {g: i for i, g in enumerate(gaps)}
+    diff = np.array([[rank[abs(x - y)] for y in nums] for x in nums],
+                    dtype=np.min_scalar_type(len(gaps) - 1))
+    used = np.zeros(len(gaps), dtype=bool)
+    tables = {}
+    for n, R in rows.items():
+        table = np.zeros((R.shape[1],) * 2, dtype=diff.dtype)
+        for row in R:
+            np.maximum(table, diff.take(row, axis=0).take(row, axis=1), out=table)
+        used[table] = True
+        tables[n] = table
+    # Only the differences that some cell holds enter the codebook.
+    codebook = tuple(Fraction(gaps[i], scale) for i in np.flatnonzero(used))
+    code = (np.cumsum(used) - 1).astype(np.min_scalar_type(len(codebook) - 1))
+    return codebook, {n: code[table] for n, table in tables.items()}
+
+
+def _lift(x: np.ndarray, m: int) -> np.ndarray:
+    """The two-sided Hausdorff lift over one-point extensions by m points,
+    max(max_c min_d x[ac, bd], max_d min_c x[ac, bd]) at (a, b): the next
+    stage on codes, the threshold step on booleans (min AND, max OR).  Each
+    quantifier reduces m slices; numpy reduces a short strided axis slower."""
+    t = x.shape[0] // m
+    x4 = x.reshape(t, m, t, m)
+    min_c = np.minimum.reduce([x4[:, c] for c in range(m)])  # [a, b, d]
+    min_d = np.minimum.reduce([x4[..., d] for d in range(m)])  # [a, c, b]
+    return np.maximum.reduce([min_c[..., d] for d in range(m)] + [min_d[:, c] for c in range(m)])
 
 
 class BFEngine:
@@ -223,11 +264,7 @@ class BFEngine:
         return np.array(list(rows.values()), dtype=np.intp).reshape(len(rows), len(tuples))
 
     def _build(self) -> None:
-        """Stage 0 at every arity of the window, and the codebook.
-
-        A stage-0 cell is the max over rows of |v_i - v_j| for two row
-        values, so with ``diff[i, j]`` the rank of that difference among
-        all differences, a table is a max of ``diff`` entries."""
+        """Stage 0 at every arity of the window, and the codebook."""
         if self._built:
             return
         m = len(self.s.points)
@@ -239,28 +276,8 @@ class BFEngine:
             )
         values: dict[Fraction, int] = {}
         rows = {n: self._formula_rows(n, values) for n in range(1, self.cap + 1)}
-        # Differences are ranked as integers over the values' common
-        # denominator: exact, and far cheaper than Fraction arithmetic.
-        scale = lcm_denominator(values)
-        nums = [v.numerator * (scale // v.denominator) for v in values]
-        gaps = sorted({0} | {abs(x - y) for x in nums for y in nums})
-        rank = {g: i for i, g in enumerate(gaps)}
-        diff = np.array([[rank[abs(x - y)] for y in nums] for x in nums],
-                        dtype=np.min_scalar_type(len(gaps) - 1))
-        used = np.zeros(len(gaps), dtype=bool)
-        tables = {}
-        for n, R in rows.items():
-            t = R.shape[1]
-            table = np.zeros((t, t), dtype=diff.dtype)
-            for row in R:
-                np.maximum(table, diff.take(row, axis=0).take(row, axis=1), out=table)
-            used[table] = True
-            tables[n] = table
-        # Only the differences that some cell holds enter the codebook.
-        self._codebook = tuple(Fraction(gaps[i], scale) for i in np.flatnonzero(used))
-        code = (np.cumsum(used) - 1).astype(np.min_scalar_type(len(self._codebook) - 1))
-        for n, table in tables.items():
-            self._tables[(n, 0)] = code[table]
+        self._codebook, tables = _stage0(rows, values)
+        self._tables.update(((n, 0), table) for n, table in tables.items())
         self._built = True
 
     @property
@@ -288,13 +305,7 @@ class BFEngine:
             )
         key = (n, stage)
         if key not in self._tables:
-            prev = self.table(n + 1, stage - 1)
-            m = len(self.s.points)
-            t = len(self.tuples(n))
-            r4 = prev.reshape(t, m, t, m)
-            h1 = r4.min(axis=3).max(axis=1)  # sup_c inf_d'
-            h2 = r4.min(axis=1).max(axis=2)  # sup_d inf_c'
-            self._tables[key] = np.maximum(h1, h2)
+            self._tables[key] = _lift(self.table(n + 1, stage - 1), len(self.s.points))
         return self._tables[key]
 
     def value(self, stage: int, a: tuple[str, ...], b: tuple[str, ...]) -> Fraction:
@@ -321,9 +332,8 @@ class BFEngine:
             raise ValueError("tuples must have equal length")
         n = len(a)
         values: dict[Fraction, int] = {}
-        rows = self._formula_rows(n, values, [a, b])
-        value_of = list(values)  # codes are given in insertion order
-        best = max((abs(value_of[i] - value_of[j]) for i, j in rows), default=ZERO)
+        codebook, tables = _stage0({n: self._formula_rows(n, values, [a, b])}, values)
+        best = codebook[tables[n][0, 1]]
         meta: dict = {"family_size": len(self.family(n)), "arity": n}
         sig = self.s.signature
         if not sig.relations and not sig.functions and not sig.constants:
@@ -403,7 +413,7 @@ class BFEngine:
             below, grown = [n - 1 for n in grown if n > 1], []
             # ascending, so arity n + 1 still holds stage k - 1 when n reads it
             for n in below:
-                fresh = self._step(current[n + 1]) & ~current[n]
+                fresh = _lift(current[n + 1], len(self.s.points)) & ~current[n]
                 c = int(np.count_nonzero(fresh))
                 if c:
                     entry[n][fresh] = k
@@ -418,18 +428,6 @@ class BFEngine:
             closure_stage=None if grown else k,
             meta=self.config.meta(self.cap) | {"structure": self.s.name, "q": format_rational(q)},
         )
-
-    def _step(self, x: np.ndarray) -> np.ndarray:
-        """Pairs (a, b) with c, d such that each (a c', b d) or (a c, b d') is in x."""
-        m = len(self.s.points)
-        t = x.shape[0] // m
-        x4 = x.reshape(t, m, t, m)
-        # The universal pair splits over the disjuncts.  Each quantifier is an
-        # AND or OR of m slices; numpy reduces a short strided axis far slower.
-        all_c = np.logical_and.reduce([x4[:, c] for c in range(m)])  # [a, b, d]
-        all_d = np.logical_and.reduce([x4[..., d] for d in range(m)])  # [a, c, b]
-        return np.logical_or.reduce([all_c[..., d] for d in range(m)]
-                                    + [all_d[:, c] for c in range(m)])
 
     def r_entry_stages(self, q: Fraction, n: int) -> np.ndarray:
         """Least stage alpha within the window with r_alpha > q, else -1."""

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the criterion
 lines; every tolerance here is exact rational equality or inequality.
 """
 
+import os
 import random
 import subprocess
 import sys
@@ -245,18 +246,25 @@ _CLI_CASES = [
 ]
 
 
-def _run_cli(args) -> bytes:
+# str.__hash__ is salted per process; fixed salts, the extreme ones included,
+# make a run that depends on set or hash order fail on every machine alike
+_HASH_SEEDS = ("0", "1", "4294967295")
+
+
+def _run_cli(args, hash_seed: str) -> bytes:
     proc = subprocess.run(
         [sys.executable, "-m", "mscott", *args],
         capture_output=True,
         cwd=PKG_ROOT,
+        env=os.environ | {"PYTHONHASHSEED": hash_seed},
     )
-    assert proc.returncode == 0, (args, proc.stderr)
+    assert proc.returncode == 0, (args, hash_seed, proc.stderr)
     return proc.stdout
 
 
 def test_criterion_10_cli_determinism():
     for args in _CLI_CASES:
-        runs = [_run_cli(args) for _ in range(3)]
-        assert runs[0] == runs[1] == runs[2], f"nondeterministic across runs: {args}"
-    _report(10, True, f"byte-identical output for {len(_CLI_CASES)} commands x 3 runs")
+        runs = [_run_cli(args, seed) for seed in _HASH_SEEDS]
+        assert runs[0] == runs[1] == runs[2], f"output depends on PYTHONHASHSEED: {args}"
+    _report(10, True, f"byte-identical output for {len(_CLI_CASES)} commands x "
+                      f"PYTHONHASHSEED {', '.join(_HASH_SEEDS)}")

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from mscott.moduli import (
     Linear,
+    ModulusWindowError,
     PolyhedralMax,
     SumWeakModulus,
     check_modulus,
@@ -170,6 +171,52 @@ def test_envelope_names_the_first_decrease_of_a_pairwise_scan(values):
     with pytest.raises(ValueError) as info:
         largest_modulus_below(samples, 4)
     assert str(info.value) == message
+
+
+def test_fine_grid_refused_before_sampling():
+    calls = []
+
+    def square(p):
+        calls.append(p)
+        return p[0] * p[0]
+
+    grid = RatGrid(1, F(1, 100000), F(1))
+    with pytest.raises(ModulusWindowError, match="^sample coordinates refine to 800001 axis "):
+        largest_modulus_below(square, 8, grid=grid)
+    assert calls == []
+    # a mapping is refused from its keys, before its decrease is looked for
+    samples = {(x,): F(1) - x for x in RatGrid(1, F(1, 1000), F(1)).axis()}
+    samples[(F(0),)] = F(0)
+    with pytest.raises(ModulusWindowError, match="refine to 8001 axis points"):
+        largest_modulus_below(samples, 8)
+
+
+@given(
+    st.fractions(min_value=F(1, 30), max_value=3, max_denominator=30),
+    st.fractions(min_value=F(1, 30), max_value=3, max_denominator=30),
+    st.integers(min_value=1, max_value=8),
+)
+@settings(max_examples=300, deadline=None)
+def test_grid_refusal_from_step_and_bound(step, bound, k_max):
+    """A 1-d grid refused before sampling is refused, with the same count,
+    exactly when the axis through all of its points is."""
+    axis = RatGrid(1, step, bound).axis()
+    try:
+        largest_modulus_below({(x,): x for x in axis}, k_max)
+        expected = None
+    except ModulusWindowError as err:
+        expected = str(err)
+    calls = []
+
+    def identity(p):
+        calls.append(p)
+        return p[0]
+
+    try:
+        largest_modulus_below(identity, k_max, grid=RatGrid(1, step, bound))
+        assert expected is None and len(calls) == len(axis)
+    except ModulusWindowError as err:
+        assert str(err) == expected and calls == []
 
 
 def test_envelope_respects_nice_domain():

@@ -4,10 +4,13 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mscott.evaluation import Evaluator
 from mscott.rationals import lcm_denominator
-from mscott.scott import BFEngine, EngineConfig, TableBudgetError
+from mscott.scott import BFEngine, EngineConfig, TableBudgetError, _lift
 from mscott.structures import (
     PreStructure, automorphisms, build_metric, load_structure, loads_structure, validate,
 )
@@ -51,6 +54,40 @@ def test_r0_family_size_monotone(three_point):
             vs, _ = small.r0_pair(a, b)
             vb, _ = big.r0_pair(a, b)
             assert vs <= vb
+
+
+def test_r0_pair_without_family_or_with_equal_tuples(three_point):
+    # no family member: no value is coded, and the codebook is (0,)
+    empty = BFEngine(three_point, config=EngineConfig(family_size=0, table_cap=2))
+    assert empty.r0_pair(("x",), ("y",))[0] == 0 == empty.value(0, ("x",), ("y",))
+    assert empty.codebook == (0,)
+    eng = BFEngine(three_point, config=EngineConfig(family_size=60, table_cap=2))
+    for a in eng.tuples(2):
+        assert eng.r0_pair(a, a)[0] == 0 == eng.value(0, a, a)
+        assert eng.r0_pair(a, ("z", "x"))[0] == eng.value(0, a, ("z", "x"))
+
+
+@st.composite
+def code_tables(draw):
+    m = draw(st.integers(1, 4))
+    t = m ** draw(st.integers(1, 3 if m > 2 else 4))
+    return m, draw(arrays(np.uint8, (t, t), elements=st.integers(0, 5)))
+
+
+@given(code_tables())
+@settings(max_examples=100, deadline=None)
+def test_lift_matches_literal_lift_and_commutes_with_thresholds(table):
+    m, x = table
+    t = x.shape[0] // m
+    ext = range(m)
+    literal = np.array([[max(max(min(x[a * m + c, b * m + d] for d in ext) for c in ext),
+                             max(min(x[a * m + c, b * m + d] for c in ext) for d in ext))
+                         for b in range(t)] for a in range(t)], dtype=np.uint8)
+    lifted = _lift(x, m)
+    assert lifted.dtype == np.uint8 and np.array_equal(lifted, literal)
+    for cut in range(7):
+        step = _lift(x >= cut, m)
+        assert step.dtype == bool and np.array_equal(step, lifted >= cut)
 
 
 def brute_successor(engine, a, b):
@@ -411,6 +448,7 @@ def test_table_budget_is_checked_before_building(square):
     # a large arity cap reaches the same budget through the automatic cap
     with pytest.raises(TableBudgetError):
         BFEngine(square, config=EngineConfig(max_arity=10)).gamma_fixpoint(F(1, 10))
-    # r0 builds no table, so the cap does not limit it
+    # r0_pair builds only the 2 x 2 table of its own pair, so the cap does
+    # not limit it
     value, _ = eng.r0_pair(("a",), ("b",))
     assert value == 0
