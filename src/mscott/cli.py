@@ -20,7 +20,7 @@ import numpy as np
 
 from .evaluation import Evaluator
 from .family import enumerate_family
-from .moduli import largest_modulus_below, weak_modulus
+from .moduli import axis_size, largest_modulus_below, weak_modulus
 from .parser import ParseError, parse_formula, parse_formula_file, print_formula
 from .rationals import ONE, RatGrid, format_rational, parse_rational
 from .scott import BFEngine, EngineConfig
@@ -197,6 +197,8 @@ def cmd_modulus_floor(target: str, step_text: str, bound_text: str, kmax: int, a
     bound = _rat_arg(bound_text, "--bound")
     grid = RatGrid(1, step, bound)
     if target == "sqrt":
+        # the squares' axis follows from the step and bound: refuse before building them
+        axis_size({min(step, bound) ** 2, bound ** 2}, kmax)
         samples = {(v * v,): v for v in grid.axis()}
         env = largest_modulus_below(samples, kmax)
     else:

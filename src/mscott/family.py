@@ -23,7 +23,7 @@ formulas in v0..v_{n-1}:
   values of denominator at most h), then binary meets and joins whose
   later operand was emitted at height h - 1; degenerate and slope-0
   segments normalize to constants, which follow the other segments of
-  their height, and duplicates are dropped by printed form;
+  their height, and duplicates are dropped by value;
 * diagonal j opens the stream of the j-th tuple and then takes one item
   from every open stream, oldest first.  Every height yields a new
   constant, so streams never run dry and the family is infinite unless
@@ -108,22 +108,14 @@ def atomic_pool(sig: Signature, arity: int, term_depth: int = 1) -> list[Atomic]
     metric atomics in one canonical orientation, new-variable-last order."""
     terms = sorted(_terms(sig, arity, term_depth), key=_term_key)
     atoms: list[Atomic] = []
-    seen: set[str] = set()
     for i, t1 in enumerate(terms):
         for t2 in terms[i:]:
             atoms.append(Atomic(METRIC, (t1, t2)))
     for r in sig.relations:
         for args in product(terms, repeat=r.arity):
             atoms.append(Atomic(r.name, tuple(args)))
-    pool: list[Atomic] = []
-    for a in atoms:
-        key = print_formula(a)
-        if key in seen:
-            continue
-        seen.add(key)
-        if is_zero_modulus(canonical_modulus(a, sig, arity)):
-            continue
-        pool.append(a)
+    pool = [a for a in dict.fromkeys(atoms)
+            if not is_zero_modulus(canonical_modulus(a, sig, arity))]
     rel_rank = {r.name: i + 1 for i, r in enumerate(sig.relations)}
     rel_rank[METRIC] = 0
     pool.sort(
@@ -190,18 +182,17 @@ def _singles(atomics: tuple[Atomic, ...], delta: Modulus, h: int) -> Iterator[Fo
 def _stream(atomics: tuple[Atomic, ...], delta: Modulus) -> Iterator[Formula]:
     """The items of one tuple of atomics, height by height: the single
     segments of height h, then the meets and the joins whose later operand
-    was emitted at height h - 1.  Duplicates are dropped by printed form.
+    was emitted at height h - 1.  Duplicates are dropped by value.
 
     Every height emits at least the new constant 1/h (a = b is valid for
     any anchors), so the stream never runs dry."""
     items: list[Formula] = []
-    seen: set[str] = set()
+    seen: set[Formula] = set()
 
     def fresh(phis: Iterable[Formula]) -> Iterator[Formula]:
         for phi in phis:
-            key = print_formula(phi)
-            if key not in seen:
-                seen.add(key)
+            if phi not in seen:
+                seen.add(phi)
                 items.append(phi)
                 yield phi
 
@@ -310,15 +301,9 @@ def family_stack(
     the truncated stage-0 distance monotone under tuple extension (the
     property the successor recursion leans on).
     """
-    members: list[Formula] = []
-    seen: set[str] = set()
-    for n in range(1, arity + 1):
-        for phi in enumerate_family(signature, omega, n, count, term_depth):
-            key = print_formula(phi)
-            if key not in seen:
-                seen.add(key)
-                members.append(phi)
-    return members
+    return list(dict.fromkeys(chain.from_iterable(
+        enumerate_family(signature, omega, n, count, term_depth) for n in range(1, arity + 1)
+    )))
 
 
 # ---------------------------------------------------------------------------

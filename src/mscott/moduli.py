@@ -519,7 +519,7 @@ class NiceDomain:
 _AXIS_LIMIT = 4096
 
 
-def _axis_size(xs: set[Fraction], k_max: int) -> tuple[Fraction, int]:
+def axis_size(xs: set[Fraction], k_max: int) -> tuple[Fraction, int]:
     """The spacing of the coarsest uniform axis through the 1-d sample
     coordinates ``xs`` (1 when all are 0), and its point count up to k_max
     times the largest.  Refuses an axis past ``_AXIS_LIMIT`` points."""
@@ -582,7 +582,7 @@ class EnvelopeTable(Modulus):
         if "axis" in self._cache:
             return self._cache["axis"]
         xs = {p[0] for p, _ in self.samples}
-        step, count = _axis_size(xs, self.k_max)
+        step, count = axis_size(xs, self.k_max)
         axis = tuple(i * step for i in range(count))
         fvals = {p[0]: v for p, v in self.samples}
         INF = None
@@ -684,7 +684,7 @@ def largest_modulus_below(
             raise ValueError("a callable target needs a grid to sample on")
         if grid.dimension == 1 and domain is None:
             # all grid points but the largest, the bound, are multiples of the step
-            _axis_size({min(grid.step, grid.bound), grid.bound}, k_max)
+            axis_size({min(grid.step, grid.bound), grid.bound}, k_max)
         samples = {}
         for p in grid.points():
             if domain is not None and not domain.contains(p):
@@ -705,7 +705,7 @@ def largest_modulus_below(
     if samples[origin] != 0:
         raise ValueError("f(0) must be 0")
     if n == 1:
-        _axis_size({p[0] for p in samples}, k_max)
+        axis_size({p[0] for p in samples}, k_max)
     items = sorted(samples.items())
     for p, v in items:
         if v < 0:

@@ -435,10 +435,9 @@ class BFEngine:
         # Compared value by value, not through ``_threshold``, so that
         # ``oracle_equivalence`` checks the fixpoint against its own reading.
         above = np.array([v > q for v in self._codebook], dtype=bool)
-        for alpha in range(self.window(n) + 1):
-            memb = above[self.table(n, alpha)]
-            fresh = memb & (out < 0)
-            out[fresh] = alpha
+        # Descending, so the least stage is written last and wins.
+        for alpha in range(self.window(n), -1, -1):
+            out[above[self.table(n, alpha)]] = alpha
         return out
 
     def oracle_equivalence(self, q: Fraction, max_report: int = 10) -> EquivalenceReport:

@@ -32,8 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from pathlib import Path
+from typing import Iterator
 
 from .parser import ParseError, parse_declarations, print_modulus
 from .rationals import ZERO, format_rational, parse_rational
@@ -98,93 +99,89 @@ def build_metric(points: tuple[str, ...], lower: list[list[Fraction]]) -> dict:
 
 def validate(s: PreStructure, max_violations: int = 50) -> list[Violation]:
     """Exhaustive exact check of every structure invariant; violations are
-    report entries, never exceptions."""
-    out: list[Violation] = []
+    report entries, never exceptions.  At most ``max_violations`` are
+    returned, the first ones found."""
+    return list(islice(_violations(s), max_violations))
 
-    def add(kind: str, message: str, witness: tuple[str, ...] = ()) -> bool:
-        out.append(Violation(kind, message, witness))
-        return len(out) >= max_violations
 
+def _violations(s: PreStructure) -> Iterator[Violation]:
     pts = s.points
     if len(set(pts)) != len(pts):
-        add("points", "duplicate point names")
-        return out
+        yield Violation("points", "duplicate point names")
+        return
 
     # metric table: totality, range, axioms
+    broken = False
     for p, q in product(pts, repeat=2):
         v = s.metric.get((p, q))
         if v is None:
-            if add("metric-total", f"missing d({p},{q})", (p, q)):
-                return out
-            continue
-        if not 0 <= v <= 1:
-            if add("metric-range", f"d({p},{q}) = {format_rational(v)} outside [0,1]", (p, q)):
-                return out
-    if any(v.kind.startswith("metric-") for v in out):
-        return out
+            broken = True
+            yield Violation("metric-total", f"missing d({p},{q})", (p, q))
+        elif not 0 <= v <= 1:
+            broken = True
+            yield Violation("metric-range", f"d({p},{q}) = {format_rational(v)} outside [0,1]",
+                            (p, q))
+    if broken:
+        return
     for p in pts:
         if s.metric[(p, p)] != 0:
-            if add("metric-reflexive", f"d({p},{p}) != 0", (p,)):
-                return out
+            yield Violation("metric-reflexive", f"d({p},{p}) != 0", (p,))
     for p, q in product(pts, repeat=2):
         if s.metric[(p, q)] != s.metric[(q, p)]:
-            if add(
+            yield Violation(
                 "metric-symmetric",
                 f"d({p},{q}) = {format_rational(s.metric[(p, q)])} != "
                 f"{format_rational(s.metric[(q, p)])} = d({q},{p})",
                 (p, q),
-            ):
-                return out
+            )
         if p != q and s.metric[(p, q)] == 0 and not s.pseudometric:
-            if add("metric-separating", f"d({p},{q}) = 0 for distinct points", (p, q)):
-                return out
+            yield Violation("metric-separating", f"d({p},{q}) = 0 for distinct points", (p, q))
     for p, q, r in product(pts, repeat=3):
         if s.metric[(p, r)] > s.metric[(p, q)] + s.metric[(q, r)]:
-            if add(
+            yield Violation(
                 "metric-triangle",
                 f"d({p},{r}) = {format_rational(s.metric[(p, r)])} > "
                 f"{format_rational(s.metric[(p, q)])} + {format_rational(s.metric[(q, r)])}"
                 f" = d({p},{q}) + d({q},{r})",
                 (p, q, r),
-            ):
-                return out
+            )
 
     # relations: totality, range, modulus respect
     for rel in s.signature.relations:
         table = s.relations.get(rel.name)
         if table is None:
-            add("relation-total", f"no table for relation {rel.name}")
+            yield Violation("relation-total", f"no table for relation {rel.name}")
             continue
-        before = len(out)
+        ok = True
         tuples = list(product(pts, repeat=rel.arity))
         for t in tuples:
             v = table.get(t)
             if v is None:
-                if add("relation-total", f"{rel.name}{t} missing"):
-                    return out
+                ok = False
+                yield Violation("relation-total", f"{rel.name}{t} missing")
             elif not 0 <= v <= 1:
-                if add("relation-range", f"{rel.name}{t} = {format_rational(v)} outside [0,1]"):
-                    return out
-        if len(out) > before:
+                ok = False
+                yield Violation("relation-range",
+                                f"{rel.name}{t} = {format_rational(v)} outside [0,1]")
+        if not ok:
             continue
         for ta, tb in product(tuples, repeat=2):
             dists = tuple(s.metric[(x, y)] for x, y in zip(ta, tb))
             bound = rel.modulus(dists)
             gap = abs(table[ta] - table[tb])
             if gap > bound:
-                if add(
+                yield Violation(
                     "relation-modulus",
                     f"|{rel.name}{ta} - {rel.name}{tb}| = {format_rational(gap)} > "
                     f"{format_rational(bound)} = modulus bound",
                     ta + tb,
-                ):
-                    return out
+                )
 
     # functions: totality, closure, modulus respect
     for fn in s.signature.functions:
         table = s.functions.get(fn.name)
         if table is None:
-            add("function-total", f"no table for function {fn.name}")
+            yield Violation("function-total", f"no table for function {fn.name}")
             continue
         tuples = list(product(pts, repeat=fn.arity))
         ok = True
@@ -192,12 +189,10 @@ def validate(s: PreStructure, max_violations: int = 50) -> list[Violation]:
             v = table.get(t)
             if v is None:
                 ok = False
-                if add("function-total", f"{fn.name}{t} missing"):
-                    return out
+                yield Violation("function-total", f"{fn.name}{t} missing")
             elif v not in pts:
                 ok = False
-                if add("function-range", f"{fn.name}{t} = {v!r} is not a point"):
-                    return out
+                yield Violation("function-range", f"{fn.name}{t} = {v!r} is not a point")
         if not ok:
             continue
         for ta, tb in product(tuples, repeat=2):
@@ -205,21 +200,19 @@ def validate(s: PreStructure, max_violations: int = 50) -> list[Violation]:
             bound = fn.modulus(dists)
             gap = s.metric[(table[ta], table[tb])]
             if gap > bound:
-                if add(
+                yield Violation(
                     "function-modulus",
                     f"d({fn.name}{ta}, {fn.name}{tb}) = {format_rational(gap)} > "
                     f"{format_rational(bound)} = modulus bound",
                     ta + tb,
-                ):
-                    return out
+                )
 
     for c in s.signature.constants:
         v = s.constants.get(c)
         if v is None:
-            add("constant-total", f"constant {c} unassigned")
+            yield Violation("constant-total", f"constant {c} unassigned")
         elif v not in pts:
-            add("constant-range", f"constant {c} = {v!r} is not a point")
-    return out
+            yield Violation("constant-range", f"constant {c} = {v!r} is not a point")
 
 
 # ---------------------------------------------------------------------------

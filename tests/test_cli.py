@@ -187,15 +187,17 @@ def test_modulus_floor_sqrt():
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["--grid", "0"], "step and bound must be positive rationals"),
-        (["--bound", "-1"], "step and bound must be positive rationals"),
-        (["--grid", "1/100000"],
+        (["--fn", "square", "--grid", "0"], "step and bound must be positive rationals"),
+        (["--fn", "square", "--bound", "-1"], "step and bound must be positive rationals"),
+        (["--fn", "square", "--grid", "1/100000"],
          "sample coordinates refine to 800001 axis points; use a coarser grid"),
+        (["--fn", "sqrt", "--grid", "1/100000"],
+         "sample coordinates refine to 80000000001 axis points; use a coarser grid"),
     ],
 )
 def test_modulus_floor_refusals_are_messages(args, message):
     proc = subprocess.run(
-        [sys.executable, "-m", "mscott", "modulus-floor", "--fn", "square", *args],
+        [sys.executable, "-m", "mscott", "modulus-floor", *args],
         capture_output=True,
         text=True,
         cwd=PKG_ROOT,

@@ -10,6 +10,7 @@ from mscott.family import (
     respects_weak_modulus,
 )
 from mscott.moduli import Linear, SumWeakModulus
+from mscott.structures import load_structure
 from mscott.parser import parse_formula, print_formula
 from mscott.syntax import (
     Atomic,
@@ -77,6 +78,22 @@ def test_family_stack_contains_lower_arities():
     stack = {print_formula(f) for f in family_stack(EMPTY_SIGNATURE, OMEGA, 3, 30)}
     for phi in enumerate_family(EMPTY_SIGNATURE, OMEGA, 2, 30):
         assert print_formula(phi) in stack
+
+
+@pytest.mark.parametrize("sig_file", [None, "rel_demo.ms", "square.ms"])
+def test_members_are_identified_by_value_as_by_print(sig_file, data_dir):
+    # the dedup in the streams and in family_stack compares formulas by
+    # value; printing must draw exactly the same distinctions
+    sig = EMPTY_SIGNATURE if sig_file is None else load_structure(data_dir / sig_file).signature
+    for arity in range(1, 5):
+        fam = enumerate_family(sig, OMEGA, arity, 200)
+        printed = [print_formula(phi) for phi in fam]
+        assert len(set(fam)) == len(set(printed)) == len(set(zip(fam, printed)))
+        by_print: dict[str, object] = {}
+        for n in range(1, arity + 1):
+            for phi in enumerate_family(sig, OMEGA, n, 200):
+                by_print.setdefault(print_formula(phi), phi)
+        assert family_stack(sig, OMEGA, arity, 200) == list(by_print.values())
 
 
 def test_emitted_formulas_truly_respect_omega(corpus):

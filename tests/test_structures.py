@@ -15,7 +15,7 @@ from mscott.structures import (
     parse_structure,
     validate,
 )
-from mscott.syntax import RelationSymbol, Signature
+from mscott.syntax import FunctionSymbol, RelationSymbol, Signature
 
 
 def test_load_two_point_file(data_dir):
@@ -89,6 +89,25 @@ def test_symmetry_violation_in_memory():
     )
     kinds = {v.kind for v in validate(s)}
     assert "metric-symmetric" in kinds
+
+
+def test_validate_returns_at_most_max_violations():
+    # 100 triangle violations (d(pi, pk) = 1 > 1/10 + 1/10 through any of the
+    # last five points), then one per symbol declared without a table
+    pts = tuple(f"p{i}" for i in range(10))
+    lower = [[F(1) if j < i < 5 else F(1, 10) for j in range(i)] for i in range(1, 10)]
+    sig = Signature(
+        relations=(RelationSymbol("R", 1, Linear((F(1),))),),
+        functions=(FunctionSymbol("f", 1, Linear((F(1),))),),
+        constants=("a", "b", "c"),
+    )
+    s = PreStructure(signature=sig, points=pts, metric=build_metric(pts, lower))
+    full = validate(s, 1000)
+    assert [v.kind for v in full] == ["metric-triangle"] * 100 + [
+        "relation-total", "function-total", "constant-total", "constant-total", "constant-total"
+    ]
+    for cap in (0, 1, 50, 100, 101, 104, 105):
+        assert validate(s, cap) == full[:cap]
 
 
 def test_separation_and_pseudometric_flag():
