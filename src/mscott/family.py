@@ -228,6 +228,7 @@ class FamilyEnumerator:
         self._emitted: list[Formula] = []
         self._delta_cache: dict[tuple[Vec, ...], Modulus | None] = {}
         self._members = self._diagonal()
+        self._stacks: dict[int, list[Formula]] = {}  # count -> family_stack at this arity
 
     def _induced(self, atomics: tuple[Atomic, ...]) -> Modulus | None:
         rows = []
@@ -271,6 +272,14 @@ class FamilyEnumerator:
 _ENUM_CACHE: dict[tuple, FamilyEnumerator] = {}
 
 
+def _enumerator(signature: Signature, omega: SumWeakModulus, arity: int,
+                term_depth: int) -> FamilyEnumerator:
+    key = (signature, omega, arity, term_depth)
+    if key not in _ENUM_CACHE:
+        _ENUM_CACHE[key] = FamilyEnumerator(signature, omega, arity, term_depth)
+    return _ENUM_CACHE[key]
+
+
 def enumerate_family(
     signature: Signature,
     omega: SumWeakModulus,
@@ -279,12 +288,7 @@ def enumerate_family(
     term_depth: int = 1,
 ) -> list[Formula]:
     """First ``count`` members of the dense family at the given arity."""
-    key = (signature, omega, arity, term_depth)
-    enum = _ENUM_CACHE.get(key)
-    if enum is None:
-        enum = FamilyEnumerator(signature, omega, arity, term_depth)
-        _ENUM_CACHE[key] = enum
-    return enum.take(count)
+    return _enumerator(signature, omega, arity, term_depth).take(count)
 
 
 def family_stack(
@@ -299,11 +303,16 @@ def family_stack(
     A formula with free variables among v0..v_{m-1} is also an n-ary
     family member for n >= m, so inheriting them costs nothing and makes
     the truncated stage-0 distance monotone under tuple extension (the
-    property the successor recursion leans on).
+    property the successor recursion leans on).  The stack at arity n - 1
+    is a prefix of the stack at n; each call copies the one kept on the
+    arity's enumerator.
     """
-    return list(dict.fromkeys(chain.from_iterable(
-        enumerate_family(signature, omega, n, count, term_depth) for n in range(1, arity + 1)
-    )))
+    stacks = _enumerator(signature, omega, arity, term_depth)._stacks
+    if count not in stacks:
+        stacks[count] = list(dict.fromkeys(chain.from_iterable(
+            enumerate_family(signature, omega, n, count, term_depth) for n in range(1, arity + 1)
+        )))
+    return list(stacks[count])
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,10 @@ Each engine therefore keeps one ascending ``codebook`` of the distinct
 stage-0 values as Fractions, shared by every arity and stage, and every
 stage table holds small unsigned integer codes into it.  Stage 0 evaluates
 segment connectives in Python integers over one common denominator
-(``SegmentConnective.column``), not Fraction by Fraction.
+(``SegmentConnective.column``), not Fraction by Fraction.  At arity n it
+evaluates only the family members new at n: an older member reads the
+first n - 1 points, so the arity-(n - 1) table, each index repeated once
+per point, holds its share.
 """
 
 from __future__ import annotations
@@ -125,11 +128,14 @@ class EquivalenceReport:
 
 def _stage0(rows: dict[int, np.ndarray], values: dict[Fraction, int]) -> tuple[tuple, dict]:
     """The codebook, and the stage-0 table of each arity from its rows of
-    codes into ``values``.
+    codes into ``values``, arities ascending.
 
     A cell is the max over rows of |v_i - v_j|, so with ``diff[i, j]`` the
     rank of that difference, a table is a max of ``diff`` entries.  The
-    ranks come from integers over the values' common denominator."""
+    ranks come from integers over the values' common denominator.  Given
+    arity n - 1 too, arity n's rows need only the members new at n: an
+    older member reads the first n - 1 points of an n-tuple (index i // m
+    over m points), so the arity-(n - 1) table repeated m times holds it."""
     scale = lcm_denominator(values)
     nums = [v.numerator * (scale // v.denominator) for v in values]  # in code order
     gaps = sorted({0} | {abs(x - y) for x in nums for y in nums})
@@ -139,7 +145,9 @@ def _stage0(rows: dict[int, np.ndarray], values: dict[Fraction, int]) -> tuple[t
     used = np.zeros(len(gaps), dtype=bool)
     tables = {}
     for n, R in rows.items():
-        table = np.zeros((R.shape[1],) * 2, dtype=diff.dtype)
+        prev = tables.get(n - 1, np.zeros((1, 1), diff.dtype))  # else no row yet
+        m = R.shape[1] // len(prev)
+        table = prev.repeat(m, 0).repeat(m, 1)
         for row in R:
             np.maximum(table, diff.take(row, axis=0).take(row, axis=1), out=table)
         used[table] = True
@@ -197,20 +205,14 @@ class BFEngine:
 
     def family(self, n: int) -> list[Formula]:
         if n not in self._families:
-            self._families[n] = family_stack(
-                self.s.signature,
-                self.omega,
-                n,
-                self.config.family_size,
-                self.config.term_depth,
-            )
+            self._families[n] = family_stack(self.s.signature, self.omega, n,
+                                             self.config.family_size, self.config.term_depth)
         return self._families[n]
 
     def _formula_rows(
-        self, n: int, values: dict[Fraction, int], tuples: list[tuple[str, ...]] | None = None
+        self, members: list[Formula], tuples: list[tuple[str, ...]], values: dict[Fraction, int]
     ) -> np.ndarray:
-        """Value codes of the distinct family rows over ``tuples`` (all
-        n-tuples by default).
+        """Value codes of the distinct rows of ``members`` over ``tuples``.
 
         ``values`` maps each value to its code and gives unseen values the
         next code.  Each member is evaluated bottom-up, one column per
@@ -218,8 +220,6 @@ class BFEngine:
         tuple of atomics), and its segments in integers over one common
         denominator; ``eval_connective`` is the reference tests compare to."""
         ev = Evaluator(self.s)
-        if tuples is None:
-            tuples = self.tuples(n)
 
         def codes(vs: list[Fraction]) -> np.ndarray:
             # Fraction hashing is slow: look each distinct object up once
@@ -247,7 +247,7 @@ class BFEngine:
         # atomics -> (atom columns over the distinct atom tuples, their count, inverse)
         points: dict[tuple[Atomic, ...], tuple[dict[Atomic, list[Fraction]], int, np.ndarray]] = {}
         rows: dict[bytes, np.ndarray] = {}
-        for phi in self.family(n):
+        for phi in members:
             atomics = basic_atomics(phi)
             if atomics not in points:
                 for a in atomics:
@@ -264,7 +264,8 @@ class BFEngine:
         return np.array(list(rows.values()), dtype=np.intp).reshape(len(rows), len(tuples))
 
     def _build(self) -> None:
-        """Stage 0 at every arity of the window, and the codebook."""
+        """Stage 0 at every arity of the window, and the codebook; arity n
+        evaluates only the family members new at n."""
         if self._built:
             return
         m = len(self.s.points)
@@ -275,7 +276,11 @@ class BFEngine:
                 f"cells, past the limit of {MAX_TABLE_CELLS:,}; lower the table cap"
             )
         values: dict[Fraction, int] = {}
-        rows = {n: self._formula_rows(n, values) for n in range(1, self.cap + 1)}
+        rows, seen = {}, 0
+        for n in range(1, self.cap + 1):
+            members = self.family(n)
+            rows[n] = self._formula_rows(members[seen:], self.tuples(n), values)
+            seen = len(members)
         self._codebook, tables = _stage0(rows, values)
         self._tables.update(((n, 0), table) for n, table in tables.items())
         self._built = True
@@ -332,7 +337,8 @@ class BFEngine:
             raise ValueError("tuples must have equal length")
         n = len(a)
         values: dict[Fraction, int] = {}
-        codebook, tables = _stage0({n: self._formula_rows(n, values, [a, b])}, values)
+        rows = self._formula_rows(self.family(n), [a, b], values)
+        codebook, tables = _stage0({n: rows}, values)
         best = codebook[tables[n][0, 1]]
         meta: dict = {"family_size": len(self.family(n)), "arity": n}
         sig = self.s.signature

@@ -74,6 +74,20 @@ def test_enumeration_extends_prefix():
     assert longer[:15] == first
 
 
+def test_family_stack_extends_the_arity_below(corpus, data_dir):
+    # stage 0 at arity n takes the members of family_stack(n - 1) from the
+    # arity-(n - 1) table, which holds only if they read v0..v_{n-2}
+    sigs = {s.signature for s in corpus} | {load_structure(data_dir / "rel_demo.ms").signature}
+    for sig in sigs:
+        for n in (2, 3, 4):
+            lower, stack = family_stack(sig, OMEGA, n - 1, 50), family_stack(sig, OMEGA, n, 50)
+            assert stack[: len(lower)] == lower, (sig, n)
+            assert all(formula_free_vars(phi) <= set(range(n - 1)) for phi in lower), (sig, n)
+        # each call returns its own list, so a caller's edit does not leak
+        stack.clear()
+        assert family_stack(sig, OMEGA, 4, 50)[: len(lower)] == lower
+
+
 def test_family_stack_contains_lower_arities():
     stack = {print_formula(f) for f in family_stack(EMPTY_SIGNATURE, OMEGA, 3, 30)}
     for phi in enumerate_family(EMPTY_SIGNATURE, OMEGA, 2, 30):

@@ -45,6 +45,10 @@ CASES = [
         ["r0", str(DATA / "three_point.ms"), "x,y", "x,z", "--json"],
     ),
     (
+        "ralpha_rel_demo_stage0_arity3.txt",
+        ["ralpha", str(DATA / "rel_demo.ms"), "--stage", "0", "--arity", "3"],
+    ),
+    (
         "modulus_floor_square.txt",
         ["modulus-floor", "--fn", "square", "--grid", "1/8", "--kmax", "8"],
     ),

@@ -294,7 +294,7 @@ def test_stage0_rows_match_reference_evaluator(corpus, data_dir):
         ev = Evaluator(s)
         values: dict = {}
         for n in range(1, cap + 1):
-            rows = engine._formula_rows(n, values)
+            rows = engine._formula_rows(engine.family(n), engine.tuples(n), values)
             value_of = list(values)
             got = [tuple(value_of[c] for c in row) for row in rows]
             want = {
@@ -305,6 +305,42 @@ def test_stage0_rows_match_reference_evaluator(corpus, data_dir):
             assert len(set(got)) == len(got) and set(got) == want, (s.name, n)
         if s in wide:
             assert lcm_denominator(values).bit_length() > 40
+
+
+def _stage0_structures(corpus, data_dir):
+    return [*corpus, load_structure(data_dir / "rel_demo.ms"),
+            load_structure(data_dir / "square.ms"), _decimal_structure(3, 4)]
+
+
+def test_stage0_cells_are_family_maxima(corpus, data_dir):
+    # Arity n evaluates only the members new at n and takes the rest from
+    # arity n - 1; the reference evaluates every member of family(n) at
+    # every n-tuple with the tree-walking Evaluator.
+    for s in _stage0_structures(corpus, data_dir):
+        engine = BFEngine(s, config=EngineConfig(family_size=50, table_cap=3))
+        ev = Evaluator(s)
+        for n in range(1, 4):
+            tuples = engine.tuples(n)
+            cols = [[ev.formula(phi, t) for t in tuples] for phi in engine.family(n)]
+            scale = lcm_denominator({v for col in cols for v in col})
+            want = np.zeros((len(tuples),) * 2, dtype=object)
+            for col in cols:
+                x = np.array([v.numerator * (scale // v.denominator) for v in col], dtype=object)
+                want = np.maximum(want, abs(x[:, None] - x[None, :]))
+            got = np.array([v * scale for v in engine.codebook], dtype=object)[engine.table(n, 0)]
+            assert (got == want).all(), (s.name, n)
+
+
+def test_r0_pair_agrees_with_expanded_tables(corpus, data_dir):
+    # r0_pair evaluates all of family(n) over its one pair; the tables of
+    # arities 3 and 4 are built from the arity below.
+    rng = random.Random(7)
+    for s in _stage0_structures(corpus, data_dir):
+        engine = BFEngine(s, config=EngineConfig(family_size=50, table_cap=4))
+        for n in (3, 4):
+            for _ in range(4):
+                a, b = rng.choice(engine.tuples(n)), rng.choice(engine.tuples(n))
+                assert engine.r0_pair(a, b)[0] == engine.value(0, a, b), (s.name, a, b)
 
 
 def gamma_fixpoint_oracle(engine, q):
