@@ -303,9 +303,8 @@ def family_stack(
     A formula with free variables among v0..v_{m-1} is also an n-ary
     family member for n >= m, so inheriting them costs nothing and makes
     the truncated stage-0 distance monotone under tuple extension (the
-    property the successor recursion leans on).  The stack at arity n - 1
-    is a prefix of the stack at n; each call copies the one kept on the
-    arity's enumerator.
+    property the successor recursion leans on).  The stack at arity - 1 is
+    a prefix; each call copies the union kept on the arity's enumerator.
     """
     stacks = _enumerator(signature, omega, arity, term_depth)._stacks
     if count not in stacks:

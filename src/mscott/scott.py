@@ -145,7 +145,7 @@ def _stage0(rows: dict[int, np.ndarray], values: dict[Fraction, int]) -> tuple[t
     used = np.zeros(len(gaps), dtype=bool)
     tables = {}
     for n, R in rows.items():
-        prev = tables.get(n - 1, np.zeros((1, 1), diff.dtype))  # else no row yet
+        prev = tables.get(n - 1, np.zeros((1, 1), diff.dtype))  # no arity below: all 0
         m = R.shape[1] // len(prev)
         table = prev.repeat(m, 0).repeat(m, 1)
         for row in R:
@@ -205,8 +205,13 @@ class BFEngine:
 
     def family(self, n: int) -> list[Formula]:
         if n not in self._families:
-            self._families[n] = family_stack(self.s.signature, self.omega, n,
-                                             self.config.family_size, self.config.term_depth)
+            self._families[n] = family_stack(
+                self.s.signature,
+                self.omega,
+                n,
+                self.config.family_size,
+                self.config.term_depth,
+            )
         return self._families[n]
 
     def _formula_rows(
