@@ -7,14 +7,15 @@ modulus-respecting basic formulas -> back-and-forth pseudo-distances,
 Scott rank, and the threshold fixpoint operator.
 """
 
-from .evaluation import (
-    Evaluator,
-    eval_dense_agreement,
-    eval_formula,
-    eval_formula_normalized,
-    eval_term,
+from .evaluation import Evaluator, eval_dense_agreement
+from .family import (
+    ApproximationResult,
+    FamilyEnumerator,
+    enumerate_family,
+    family_stack,
+    lattice_approximate,
+    respects_weak_modulus,
 )
-from .family import FamilyEnumerator, enumerate_family, family_stack, respects_weak_modulus
 from .moduli import (
     CappedLinear,
     Compose,
@@ -45,20 +46,9 @@ from .parser import (
     print_modulus,
     print_term,
 )
-from .rationals import RatGrid, clamp_unit, format_rational, grid_points, parse_rational
+from .rationals import RatGrid, clamp_unit, format_rational, parse_rational
 from .scott import BFEngine, EngineConfig, EquivalenceReport, FixpointTrace, RankReport
-from .segments import (
-    ApproximationResult,
-    Join,
-    LatticeTerm,
-    Leaf,
-    Meet,
-    SegmentConnective,
-    lattice_approximate,
-    lattice_eval,
-    make_segment,
-    segment_norm_bound,
-)
+from .segments import SegmentConnective, make_segment, segment_norm_bound
 from .structures import (
     PreStructure,
     StructureFormatError,

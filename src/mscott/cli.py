@@ -311,7 +311,7 @@ def cmd_scott_rank(structure: str, max_arity: int, family: int, stage_cap: int,
     if report.definitive:
         lines = [
             f"rank {report.rank} (stable through the computed window; "
-            f"arity cap {engine.config.max_arity}, table cap {engine.cap})"
+            f"arity cap {engine.config.max_arity}, table cap {engine.cap}, family {family})"
         ]
     elif report.checkable_stages < 0:
         lines = [f"no rank: no stage pair fits table cap {engine.cap}; raise --table-cap"]

@@ -25,8 +25,6 @@ from .syntax import (
     Sup,
     Term,
     Var,
-    basic_atomics,
-    eval_connective,
 )
 
 
@@ -86,24 +84,6 @@ class Evaluator:
                 vals.append(self.formula(phi.body, tuple(base)))
             return max(vals) if isinstance(phi, Sup) else min(vals)
         raise TypeError(type(phi))
-
-
-def eval_term(t: Term, s: PreStructure, point_tuple: tuple[str, ...]) -> str:
-    return Evaluator(s).term(t, point_tuple)
-
-
-def eval_formula(phi: Formula, s: PreStructure, point_tuple: tuple[str, ...]) -> Fraction:
-    """Exact value of the formula at the given variable assignment."""
-    return Evaluator(s).formula(phi, point_tuple)
-
-
-def eval_formula_normalized(
-    phi: Formula, s: PreStructure, point_tuple: tuple[str, ...]
-) -> Fraction:
-    """Second evaluation route: the connective evaluated at the atomics'
-    values; must agree with the tree walk exactly on basic formulas."""
-    ev = Evaluator(s)
-    return eval_connective(phi, {a: ev.formula(a, point_tuple) for a in basic_atomics(phi)})
 
 
 def subset_density(s: PreStructure, subset: tuple[str, ...]) -> Fraction:

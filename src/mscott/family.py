@@ -1,5 +1,6 @@
 """Deterministic enumeration of the countable dense family of
-weak-modulus-respecting basic formulas, and the respects-check.
+weak-modulus-respecting basic formulas, the respects-check, and lattice
+approximants of a modulus-respecting target.
 
 For a fixed signature, weak modulus, and arity n the family interleaves,
 by a diagonal over per-tuple streams, the lattice terms of segment
@@ -35,10 +36,11 @@ degenerates to constant formulas in height order.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, islice, product
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .moduli import (
     Modulus,
@@ -50,7 +52,7 @@ from .moduli import (
     pi_fold,
 )
 from .parser import print_formula, print_term
-from .rationals import ONE, ZERO, RatGrid, Vec, vec_sub
+from .rationals import ONE, ZERO, RatGrid, Vec, format_vec, require_unit, vec_sub
 from .segments import make_segment
 from .syntax import (
     Apply,
@@ -387,3 +389,96 @@ def respects_weak_modulus(
             if gap > bound:
                 return RespectReport(False, (z, w), gap - bound, step, k_max, len(pinned))
     return RespectReport(True, None, None, step, k_max, len(pinned))
+
+
+# ---------------------------------------------------------------------------
+# Lattice approximation of a modulus-respecting target
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ApproximationResult:
+    term: MaxF  # a join of meets of segments over the given atomics
+    deviation: Fraction
+    succeeded: bool
+    leaves: int
+
+
+def _respect_violation(
+    u: Mapping[Vec, Fraction], delta: Modulus
+) -> tuple[Vec, Vec] | None:
+    pts = list(u)
+    for p in pts:
+        for q in pts:
+            if abs(u[p] - u[q]) > delta(pi_fold(vec_sub(p, q))):
+                return p, q
+    return None
+
+
+def lattice_approximate(
+    u: Mapping[Vec, Fraction] | Callable[[Vec], Fraction],
+    delta: Modulus,
+    eps: Fraction,
+    atomics: Sequence[Atomic],
+    budget: int = 20000,
+    grid: RatGrid | None = None,
+) -> ApproximationResult:
+    """Approximate a modulus-respecting target on [0,1]^k by a basic
+    formula over ``atomics`` (k distinct ones, coordinate i of the target
+    read off atomic i): a ``MaxF`` of ``MinF``s of ``SegF``s.
+
+    For each anchor x the meet of the two-point interpolating segments
+    through (x, u(x)) lies below u + 0 everywhere on the sample set and
+    equals u(x) at x; the join of these meets then reproduces u exactly
+    at every sample point.  The epsilon budget only matters when the
+    leaf budget forces anchor subsampling, in which case the best
+    achieved deviation is reported honestly.
+    """
+    atomics = tuple(atomics)
+    if len(atomics) != delta.arity:
+        raise ValueError(f"need {delta.arity} atomics for the modulus, got {len(atomics)}")
+    if len(set(atomics)) != len(atomics):
+        raise ValueError("the atomics must be distinct")
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if callable(u) and not isinstance(u, Mapping):
+        if grid is None:
+            raise ValueError("a callable target needs a grid")
+        table = {p: Fraction(u(p)) for p in grid.points()}
+    else:
+        table = {tuple(Fraction(c) for c in p): Fraction(v) for p, v in u.items()}
+    for p, v in table.items():
+        require_unit(v, f"target value at {format_vec(p)}")
+    bad = _respect_violation(table, delta)
+    if bad is not None:
+        p, q = bad
+        raise ValueError(
+            f"target does not respect the modulus: |u{format_vec(p)} - "
+            f"u{format_vec(q)}| > D(pi(p-q))"
+        )
+    pts = sorted(table)
+    anchors = pts
+    # Honor the leaf budget by thinning anchors; segments per anchor = |pts|.
+    while anchors and len(anchors) * len(pts) > budget:
+        anchors = anchors[::2] if len(anchors) > 1 else anchors
+        if len(anchors) * len(pts) <= budget or len(anchors) == 1:
+            break
+    meets = []
+    for x in anchors:
+        segs: dict[SegF, None] = {}
+        for y in pts:
+            if table[y] >= table[x]:
+                seg = make_segment(delta, x, y, table[x], table[y])
+            else:
+                seg = make_segment(delta, y, x, table[y], table[x])
+            segs[SegF(seg, atomics)] = None
+        meets.append(MinF(tuple(segs)))
+    term = MaxF(tuple(meets))
+    deviation = max(abs(eval_connective(term, dict(zip(atomics, p))) - table[p]) for p in pts)
+    return ApproximationResult(
+        term=term,
+        deviation=deviation,
+        succeeded=deviation < eps,
+        leaves=sum(len(m.items) for m in meets),
+    )

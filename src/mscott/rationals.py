@@ -120,11 +120,6 @@ class RatGrid:
         return len(self.axis()) ** self.dimension if self.dimension else 1
 
 
-def grid_points(g: RatGrid) -> list[Vec]:
-    """Materialized ``g.points()``."""
-    return list(g.points())
-
-
 def lcm_denominator(values: Iterable[Fraction]) -> int:
     """Least common multiple of the denominators of ``values`` (at least 1)."""
     L = 1

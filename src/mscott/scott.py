@@ -80,12 +80,13 @@ class EngineConfig:
             cap -= 1
         return cap
 
-    def meta(self, resolved: int | None = None) -> dict:
+    def meta(self, cap: int) -> dict:
+        """The report parameters, with ``cap`` the resolved table cap."""
         return {
             "family_size": self.family_size,
             "max_arity": self.max_arity,
             "stage_cap": self.stage_cap,
-            "table_cap": self.table_cap if resolved is None else resolved,
+            "table_cap": cap,
             "term_depth": self.term_depth,
         }
 

@@ -1,19 +1,20 @@
-"""Segment connectives and the countable lattice they generate.
+"""Segment connectives: the building blocks of the dense family.
 
 A segment connective is the canonical modulus-respecting interpolant on
 the unit cube: it takes value ``a`` at an anchor point, ``b`` at a second
 anchor, and in between scales the folded modulus distance from the first
-anchor.  Meets and joins of segments form a lattice that is dense, in the
-uniform norm at grid scale, among all functions respecting the modulus.
+anchor.  Meets and joins of segments (``MinF``/``MaxF`` of ``SegF`` in
+``syntax``) form a lattice that is dense, in the uniform norm at grid
+scale, among all functions respecting the modulus; ``family`` builds
+its members and ``family.lattice_approximate`` its approximants.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .moduli import Linear, Modulus, PolyhedralMax, pi_fold
 from .rationals import (
@@ -21,7 +22,6 @@ from .rationals import (
     RatGrid,
     Vec,
     format_rational,
-    format_vec,
     require_unit,
     vec_sub,
 )
@@ -162,133 +162,4 @@ def segment_norm_bound(
         abs(s1.a - s2.a)
         + sl1 * s1.delta(pi_fold(vec_sub(s1.x, s2.x)))
         + m_max * abs(sl1 - sl2)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Lattice terms
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Leaf:
-    segment: SegmentConnective
-
-
-@dataclass(frozen=True)
-class Meet:
-    items: tuple["LatticeTerm", ...]
-
-
-@dataclass(frozen=True)
-class Join:
-    items: tuple["LatticeTerm", ...]
-
-
-LatticeTerm = Leaf | Meet | Join
-
-
-def lattice_eval(term: LatticeTerm, z: Sequence[Fraction]) -> Fraction:
-    """Recursive exact min/max of leaf evaluations."""
-    if isinstance(term, Leaf):
-        return term.segment(z)
-    vals = [lattice_eval(t, z) for t in term.items]
-    return min(vals) if isinstance(term, Meet) else max(vals)
-
-
-def lattice_leaves(term: LatticeTerm) -> list[SegmentConnective]:
-    if isinstance(term, Leaf):
-        return [term.segment]
-    out: list[SegmentConnective] = []
-    for t in term.items:
-        out.extend(lattice_leaves(t))
-    return out
-
-
-def lattice_size(term: LatticeTerm) -> int:
-    return len(lattice_leaves(term))
-
-
-# ---------------------------------------------------------------------------
-# Lattice approximation of a modulus-respecting target
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ApproximationResult:
-    term: LatticeTerm
-    deviation: Fraction
-    succeeded: bool
-    leaves: int
-
-
-def _respect_violation(
-    u: Mapping[Vec, Fraction], delta: Modulus
-) -> tuple[Vec, Vec] | None:
-    pts = list(u)
-    for p in pts:
-        for q in pts:
-            if abs(u[p] - u[q]) > delta(pi_fold(vec_sub(p, q))):
-                return p, q
-    return None
-
-
-def lattice_approximate(
-    u: Mapping[Vec, Fraction] | Callable[[Vec], Fraction],
-    delta: Modulus,
-    eps: Fraction,
-    budget: int = 20000,
-    grid: RatGrid | None = None,
-) -> ApproximationResult:
-    """Approximate a modulus-respecting target by a lattice term.
-
-    For each anchor x the meet of the two-point interpolating segments
-    through (x, u(x)) lies below u + 0 everywhere on the sample set and
-    equals u(x) at x; the join of these meets then reproduces u exactly
-    at every sample point.  The epsilon budget only matters when the
-    leaf budget forces anchor subsampling, in which case the best
-    achieved deviation is reported honestly.
-    """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if callable(u) and not isinstance(u, Mapping):
-        if grid is None:
-            raise ValueError("a callable target needs a grid")
-        table = {p: Fraction(u(p)) for p in grid.points()}
-    else:
-        table = {tuple(Fraction(c) for c in p): Fraction(v) for p, v in u.items()}
-    for p, v in table.items():
-        require_unit(v, f"target value at {format_vec(p)}")
-    bad = _respect_violation(table, delta)
-    if bad is not None:
-        p, q = bad
-        raise ValueError(
-            f"target does not respect the modulus: |u{format_vec(p)} - "
-            f"u{format_vec(q)}| > D(pi(p-q))"
-        )
-    pts = sorted(table)
-    anchors = pts
-    # Honor the leaf budget by thinning anchors; segments per anchor = |pts|.
-    while anchors and len(anchors) * len(pts) > budget:
-        anchors = anchors[::2] if len(anchors) > 1 else anchors
-        if len(anchors) * len(pts) <= budget or len(anchors) == 1:
-            break
-    meets = []
-    for x in anchors:
-        segs: dict[SegmentConnective, None] = {}
-        for y in pts:
-            if table[y] >= table[x]:
-                seg = make_segment(delta, x, y, table[x], table[y])
-            else:
-                seg = make_segment(delta, y, x, table[y], table[x])
-            segs[seg] = None
-        meets.append(Meet(tuple(Leaf(s) for s in segs)))
-    term: LatticeTerm = Join(tuple(meets))
-    deviation = max(abs(lattice_eval(term, p) - table[p]) for p in pts)
-    return ApproximationResult(
-        term=term,
-        deviation=deviation,
-        succeeded=deviation < eps,
-        leaves=lattice_size(term),
     )

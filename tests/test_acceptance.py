@@ -14,10 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mscott.family import lattice_approximate
 from mscott.moduli import Linear, SumWeakModulus, check_modulus, largest_modulus_below, pi_fold
+from mscott.parser import parse_formula
 from mscott.rationals import RatGrid, vec_sub
 from mscott.scott import BFEngine, EngineConfig
-from mscott.segments import lattice_approximate, make_segment, segment_norm_bound
+from mscott.segments import make_segment, segment_norm_bound
 from mscott.structures import automorphisms, load_structure
 
 from conftest import codebook_numerators
@@ -148,6 +150,7 @@ def test_criterion_6_lattice_density():
     rng = random.Random(2024)
     grid = RatGrid(1, F(1, 8), F(1))
     axis = grid.axis()
+    atomics = (parse_formula("d(v0, v1)"),)
     successes = 0
     for trial in range(100):
         coeff = F(rng.randint(1, 16), 8)
@@ -161,7 +164,7 @@ def test_criterion_6_lattice_density():
             pick = lo + (hi - lo) * F(rng.randint(0, 8), 8)
             values[(x,)] = pick
             prev.append((x, pick))
-        res = lattice_approximate(values, delta, F(1, 8))
+        res = lattice_approximate(values, delta, F(1, 8), atomics)
         assert res.succeeded and res.deviation < F(1, 8), (trial, res.deviation)
         successes += 1
     _report(6, True, f"{successes}/100 random respecting targets approximated "

@@ -80,6 +80,13 @@ def test_scott_rank_two_point():
     assert "rank 0" in out
 
 
+def test_scott_rank_names_the_family_size():
+    # rank 0 here rests on the truncated family: at --family 1000 it is gone
+    out = run_cli("scott-rank", str(DATA / "rel_demo.ms"), "--table-cap", "4")
+    assert out == ("rank 0 (stable through the computed window; "
+                   "arity cap 3, table cap 4, family 200)\n")
+
+
 def test_fixpoint_entry_stage():
     out = run_cli(
         "fixpoint", str(DATA / "three_point.ms"), "--q", "1/10",

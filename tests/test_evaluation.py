@@ -7,46 +7,58 @@ from mscott.evaluation import (
     Evaluator,
     UnassignedVariable,
     eval_dense_agreement,
-    eval_formula,
-    eval_formula_normalized,
-    eval_term,
     subset_density,
 )
 from mscott.family import family_stack
 from mscott.moduli import SumWeakModulus
 from mscott.parser import parse_formula, parse_term
 from mscott.structures import load_structure
-from mscott.syntax import SegF, basic_atomics, canonical_modulus, formula_free_vars
+from mscott.syntax import (
+    SegF,
+    basic_atomics,
+    canonical_modulus,
+    eval_connective,
+    formula_free_vars,
+)
 
 
 def test_eval_term_examples(data_dir):
-    s = load_structure(data_dir / "rel_demo.ms")
-    assert eval_term(parse_term("v0"), s, ("u", "v")) == "u"
-    assert eval_term(parse_term("c"), s, ("v",)) == "u"
-    assert eval_term(parse_term("f(v1)"), s, ("u", "v")) == "w"
+    ev = Evaluator(load_structure(data_dir / "rel_demo.ms"))
+    assert ev.term(parse_term("v0"), ("u", "v")) == "u"
+    assert ev.term(parse_term("c"), ("v",)) == "u"
+    assert ev.term(parse_term("f(v1)"), ("u", "v")) == "w"
     with pytest.raises(UnassignedVariable):
-        eval_term(parse_term("v3"), s, ("u",))
+        ev.term(parse_term("v3"), ("u",))
 
 
 def test_eval_formula_examples(three_point):
     sig = three_point.signature
-    assert eval_formula(parse_formula("d(v0, v1)", sig), three_point, ("x", "y")) == F(1, 5)
+    ev = Evaluator(three_point)
+    assert ev.formula(parse_formula("d(v0, v1)", sig), ("x", "y")) == F(1, 5)
     sup = parse_formula("sup v1 . d(v0, v1)", sig)
-    assert eval_formula(sup, three_point, ("x",)) == F(2, 5)
+    assert ev.formula(sup, ("x",)) == F(2, 5)
     inf = parse_formula("inf v1 . d(v0, v1)", sig)
-    assert eval_formula(inf, three_point, ("x",)) == 0
+    assert ev.formula(inf, ("x",)) == 0
 
 
 def test_eval_lattice_arithmetic(three_point):
     sig = three_point.signature
+    ev = Evaluator(three_point)
     # min(1, (1/2)(d(v0,v1) + d(v1,v2))) is the diagonal segment connective;
     # at d-values 1/5 and 3/5 it evaluates to 2/5
     mean = parse_formula(
         "seg(linear(1,1); (0,0); (1,1); 0; 1; d(v0, v1), d(v1, v2))", sig
     )
-    assert eval_formula(mean, three_point, ("x", "y", "z")) == F(2, 5)
+    assert ev.formula(mean, ("x", "y", "z")) == F(2, 5)
     halved = parse_formula("pwl((0,0),(1,1/2); latmax(d(v0, v1), d(v1, v2)))", sig)
-    assert eval_formula(halved, three_point, ("x", "y", "z")) == F(3, 10)
+    assert ev.formula(halved, ("x", "y", "z")) == F(3, 10)
+
+
+def _agree(phi, s, t):
+    """The tree walk equals the connective evaluated at the atomics' values."""
+    ev = Evaluator(s)
+    at_atomics = {a: ev.formula(a, t) for a in basic_atomics(phi)}
+    return ev.formula(phi, t) == eval_connective(phi, at_atomics)
 
 
 def test_two_evaluator_passes_agree(three_point, corpus, data_dir):
@@ -60,7 +72,7 @@ def test_two_evaluator_passes_agree(three_point, corpus, data_dir):
         for text in formulas:
             phi = parse_formula(text, s.signature)
             for t in s.tuples(2):
-                assert eval_formula(phi, s, t) == eval_formula_normalized(phi, s, t)
+                assert _agree(phi, s, t)
     # family members: relation atomics and segments over several atomics
     rel = load_structure(data_dir / "rel_demo.ms")
     family = family_stack(rel.signature, SumWeakModulus(), 2, 50)
@@ -68,16 +80,17 @@ def test_two_evaluator_passes_agree(three_point, corpus, data_dir):
     assert any(a.relation != "d" for phi in family for a in basic_atomics(phi))
     for phi in family:
         for t in rel.tuples(2):
-            assert eval_formula(phi, rel, t) == eval_formula_normalized(phi, rel, t)
+            assert _agree(phi, rel, t)
 
 
 def test_monotone_connectives(three_point):
     sig = three_point.signature
     phi_min = parse_formula("latmin(d(v0, v1), d(v1, v2))", sig)
     phi_max = parse_formula("latmax(d(v0, v1), d(v1, v2))", sig)
+    ev = Evaluator(three_point)
     for t in three_point.tuples(3):
-        lo = eval_formula(phi_min, three_point, t)
-        hi = eval_formula(phi_max, three_point, t)
+        lo = ev.formula(phi_min, t)
+        hi = ev.formula(phi_max, t)
         assert lo <= hi
 
 
@@ -95,9 +108,10 @@ def test_respects_canonical_modulus(corpus, three_point):
             fv = formula_free_vars(phi)
             n = (max(fv) + 1) if fv else 1
             canon = canonical_modulus(phi, s.signature, n)
+            ev = Evaluator(s)
             for ta in s.tuples(n):
                 for tb in s.tuples(n):
-                    gap = abs(eval_formula(phi, s, ta) - eval_formula(phi, s, tb))
+                    gap = abs(ev.formula(phi, ta) - ev.formula(phi, tb))
                     dists = tuple(s.d(a, b) for a, b in zip(ta, tb))
                     assert gap <= canon(dists)
 

@@ -22,7 +22,7 @@ from mscott.syntax import (
     is_basic,
     subformulas,
 )
-from mscott.evaluation import eval_formula
+from mscott.evaluation import Evaluator
 
 OMEGA = SumWeakModulus()
 
@@ -115,10 +115,11 @@ def test_emitted_formulas_truly_respect_omega(corpus):
     # distances, for every member and every tuple pair of sample structures
     fam = enumerate_family(EMPTY_SIGNATURE, OMEGA, 2, 40)
     for s in corpus[:4]:
+        ev = Evaluator(s)
         for phi in fam:
             for ta in s.tuples(2):
                 for tb in s.tuples(2):
-                    gap = abs(eval_formula(phi, s, ta) - eval_formula(phi, s, tb))
+                    gap = abs(ev.formula(phi, ta) - ev.formula(phi, tb))
                     bound = sum(s.d(a, b) for a, b in zip(ta, tb))
                     assert gap <= bound
 

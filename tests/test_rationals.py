@@ -8,7 +8,6 @@ from mscott.rationals import (
     RatGrid,
     clamp_unit,
     format_rational,
-    grid_points,
     lcm_denominator,
     parse_rational,
 )
@@ -41,12 +40,12 @@ def test_field_laws_exact(a, b, c):
 
 def test_grid_1d():
     g = RatGrid(1, F(1, 2), F(1))
-    assert grid_points(g) == [(F(0),), (F(1, 2),), (F(1),)]
+    assert list(g.points()) == [(F(0),), (F(1, 2),), (F(1),)]
 
 
 def test_grid_2d():
     g = RatGrid(2, F(1), F(1))
-    assert grid_points(g) == [
+    assert list(g.points()) == [
         (F(0), F(0)),
         (F(0), F(1)),
         (F(1), F(0)),
@@ -55,7 +54,7 @@ def test_grid_2d():
 
 
 def test_grid_dim0():
-    assert grid_points(RatGrid(0, F(1), F(1))) == [()]
+    assert list(RatGrid(0, F(1), F(1)).points()) == [()]
 
 
 def test_grid_ragged_bound():

@@ -5,19 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mscott.moduli import CappedLinear, Linear, PolyhedralMax, pi_fold
+from mscott.family import lattice_approximate, respects_weak_modulus
+from mscott.moduli import CappedLinear, Linear, PolyhedralMax, SumWeakModulus, pi_fold
+from mscott.parser import parse_formula, print_formula
 from mscott.rationals import RatGrid, vec_sub
-from mscott.segments import (
-    Join,
-    Leaf,
-    Meet,
-    lattice_approximate,
-    lattice_eval,
-    make_segment,
-    segment_norm_bound,
-)
+from mscott.segments import make_segment, segment_norm_bound
+from mscott.syntax import EMPTY_SIGNATURE, MaxF, MinF, SegF
 
 GRID8 = RatGrid(1, F(1, 8), F(1))
+D01 = (parse_formula("d(v0, v1)"),)
 
 
 def test_make_segment_plane_diagonal():
@@ -108,45 +104,71 @@ def test_norm_bound_random_pairs():
         assert measured <= bound
 
 
-def test_lattice_eval():
-    l1 = Leaf(make_segment(Linear((F(1),)), (F(0),), (F(1),), F(0), F(1, 4)))
-    l2 = Leaf(make_segment(Linear((F(1),)), (F(0),), (F(1),), F(0), F(1, 3)))
-    l3 = Leaf(make_segment(Linear((F(1),)), (F(0),), (F(1),), F(0), F(1, 2)))
-    z = (F(1),)
-    assert lattice_eval(l1, z) == F(1, 4)
-    assert lattice_eval(Meet((l1, l2)), z) == F(1, 4)
-    assert lattice_eval(Meet((Join((l1, l2)), l3)), z) == min(
-        max(F(1, 4), F(1, 3)), F(1, 2)
-    )
-
-
 def test_approximate_segment_target_exact():
     seg = make_segment(Linear((F(1),)), (F(0),), (F(1),), F(0), F(3, 4))
-    res = lattice_approximate(lambda p: seg(p), Linear((F(1),)), F(1, 8), grid=GRID8)
+    res = lattice_approximate(lambda p: seg(p), Linear((F(1),)), F(1, 8), D01, grid=GRID8)
     assert res.succeeded and res.deviation == 0
 
 
 def test_approximate_constant_target():
-    res = lattice_approximate(lambda p: F(1, 2), Linear((F(1),)), F(1, 8), grid=GRID8)
+    res = lattice_approximate(lambda p: F(1, 2), Linear((F(1),)), F(1, 8), D01, grid=GRID8)
     assert res.succeeded and res.deviation == 0
 
 
 def test_approximate_square_with_its_lipschitz_modulus():
-    res = lattice_approximate(lambda p: p[0] * p[0], Linear((F(2),)), F(1, 8), grid=GRID8)
+    res = lattice_approximate(lambda p: p[0] * p[0], Linear((F(2),)), F(1, 8), D01, grid=GRID8)
     assert res.succeeded and res.deviation < F(1, 8)
 
 
 def test_approximate_rejects_disrespectful_target():
     with pytest.raises(ValueError):
-        lattice_approximate(lambda p: p[0] * p[0], Linear((F(1),)), F(1, 8), grid=GRID8)
+        lattice_approximate(lambda p: p[0] * p[0], Linear((F(1),)), F(1, 8), D01, grid=GRID8)
 
 
 def test_approximate_budget_failure_reports_best():
     res = lattice_approximate(
-        lambda p: p[0], Linear((F(1),)), F(1, 100), budget=4, grid=GRID8
+        lambda p: p[0], Linear((F(1),)), F(1, 100), D01, budget=4, grid=GRID8
     )
     assert res.leaves <= GRID8.__len__() * len(GRID8.axis())
     assert res.deviation >= 0  # honest report either way
+
+
+def test_approximant_is_a_join_of_meets_of_segments():
+    res = lattice_approximate(lambda p: p[0] * p[0], Linear((F(2),)), F(1, 8), D01, grid=GRID8)
+    assert isinstance(res.term, MaxF)
+    assert all(isinstance(m, MinF) for m in res.term.items)
+    leaves = [seg for m in res.term.items for seg in m.items]
+    assert all(isinstance(seg, SegF) and seg.args == D01 for seg in leaves)
+    assert res.leaves == len(leaves)
+
+
+def test_approximant_round_trips_through_the_parser():
+    res = lattice_approximate(lambda p: p[0] * p[0], Linear((F(2),)), F(1, 8), D01, grid=GRID8)
+    assert parse_formula(print_formula(res.term)) == res.term
+
+
+def test_approximant_passes_the_respects_check():
+    # d(v0, v1) under the sum weak modulus induces linear(1)
+    res = lattice_approximate(
+        lambda p: min(F(1), F(1, 4) + p[0] / 2), Linear((F(1),)), F(1, 8), D01, grid=GRID8
+    )
+    assert res.succeeded
+    assert respects_weak_modulus(res.term, EMPTY_SIGNATURE, SumWeakModulus()).respects
+    # the check has teeth: an approximant of slope 2 outruns linear(1)
+    steep = lattice_approximate(lambda p: p[0] * p[0], Linear((F(2),)), F(1, 8), D01, grid=GRID8)
+    assert not respects_weak_modulus(steep.term, EMPTY_SIGNATURE, SumWeakModulus()).respects
+
+
+def test_approximate_rejects_bad_atomics():
+    square = lambda p: p[0] * p[0]  # noqa: E731
+    with pytest.raises(ValueError, match="need 1 atomics"):
+        lattice_approximate(square, Linear((F(2),)), F(1, 8), (), grid=GRID8)
+    with pytest.raises(ValueError, match="need 1 atomics"):
+        lattice_approximate(square, Linear((F(2),)), F(1, 8), D01 * 2, grid=GRID8)
+    pair = Linear((F(1), F(1)))
+    grid2 = RatGrid(2, F(1, 2), F(1))
+    with pytest.raises(ValueError, match="distinct"):
+        lattice_approximate(lambda p: p[0] / 2, pair, F(1, 8), D01 * 2, grid=grid2)
 
 
 def test_rational_data_coarsening_within_bound():
