@@ -160,11 +160,9 @@ def test_approximant_passes_the_respects_check():
 
 
 def test_approximate_rejects_bad_atomics():
-    square = lambda p: p[0] * p[0]  # noqa: E731
-    with pytest.raises(ValueError, match="need 1 atomics"):
-        lattice_approximate(square, Linear((F(2),)), F(1, 8), (), grid=GRID8)
-    with pytest.raises(ValueError, match="need 1 atomics"):
-        lattice_approximate(square, Linear((F(2),)), F(1, 8), D01 * 2, grid=GRID8)
+    for atomics in ((), D01 * 2):
+        with pytest.raises(ValueError, match="need 1 atomics"):
+            lattice_approximate(lambda p: p[0], Linear((F(1),)), F(1, 8), atomics, grid=GRID8)
     pair = Linear((F(1), F(1)))
     grid2 = RatGrid(2, F(1, 2), F(1))
     with pytest.raises(ValueError, match="distinct"):
