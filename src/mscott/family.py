@@ -430,9 +430,10 @@ def lattice_approximate(
     For each anchor x the meet of the two-point interpolating segments
     through (x, u(x)) lies below u + 0 everywhere on the sample set and
     equals u(x) at x; the join of these meets then reproduces u exactly
-    at every sample point.  The epsilon budget only matters when the
-    leaf budget forces anchor subsampling, in which case the best
-    achieved deviation is reported honestly.
+    at every sample point.  ``budget`` bounds anchors x sample points:
+    anchors are halved until it holds, down to one anchor, whose |pts|
+    segments are the floor.  Only thinning can push the deviation past
+    ``eps``; the deviation reached is reported.
     """
     atomics = tuple(atomics)
     if len(atomics) != delta.arity:
@@ -459,11 +460,9 @@ def lattice_approximate(
         )
     pts = sorted(table)
     anchors = pts
-    # Honor the leaf budget by thinning anchors; segments per anchor = |pts|.
-    while anchors and len(anchors) * len(pts) > budget:
-        anchors = anchors[::2] if len(anchors) > 1 else anchors
-        if len(anchors) * len(pts) <= budget or len(anchors) == 1:
-            break
+    # Honor the budget by halving the anchors; segments per anchor = |pts|.
+    while len(anchors) > 1 and len(anchors) * len(pts) > budget:
+        anchors = anchors[::2]
     meets = []
     for x in anchors:
         segs: dict[SegF, None] = {}

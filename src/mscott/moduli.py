@@ -290,22 +290,10 @@ class PolyhedralMax(Modulus):
 
 
 def is_zero_modulus(m: Modulus) -> bool:
-    """Structural test for the identically-zero modulus."""
-    if isinstance(m, Zero):
-        return True
-    if isinstance(m, Linear):
-        return not any(m.coeffs)
-    if isinstance(m, CappedLinear):
-        return not any(m.coeffs)
-    if isinstance(m, PiecewiseConcave):
-        return not any(m.coeffs) or all(y == 0 for _, y in m.breakpoints)
-    if isinstance(m, MaxOf):
-        return all(is_zero_modulus(op) for op in m.operands)
-    if isinstance(m, PolyhedralMax):
-        return all(not any(r) for r in m.rows)
-    if isinstance(m, Compose):
-        return is_zero_modulus(m.outer) or all(is_zero_modulus(i) for i in m.inners)
-    return False
+    """Whether m is identically zero: its linear upper row dominates
+    m >= 0, so a zero row pins m to 0.  A form with no row counts as nonzero."""
+    row = linear_upper_row(m)
+    return row is not None and not any(row)
 
 
 def projection(n: int, i: int) -> Linear:
@@ -331,18 +319,10 @@ def simplify_modulus(m: Modulus) -> Modulus:
             for j, i in enumerate(inners)
         ) and len(inners) == n:
             return outer
-        rows = []
-        for i in inners:
-            if isinstance(i, Zero):
-                rows.append((ZERO,) * n)
-            elif isinstance(i, Linear):
-                rows.append(i.coeffs)
-            else:
-                rows.append(None)
-        if all(r is not None for r in rows):
+        if all(isinstance(i, (Zero, Linear)) for i in inners):
+            rows = [linear_upper_row(i) for i in inners]  # exact for these forms
             if isinstance(outer, Linear):
-                lin = Linear(_compose_rows(outer.coeffs, rows, n))
-                return Zero(n) if is_zero_modulus(lin) else lin
+                return simplify_modulus(Linear(_compose_rows(outer.coeffs, rows, n)))
             if isinstance(outer, CappedLinear):
                 return CappedLinear(outer.cap, _compose_rows(outer.coeffs, rows, n))
             if isinstance(outer, PiecewiseConcave):
@@ -361,9 +341,7 @@ def linear_upper_row(m: Modulus) -> Vec | None:
     Exact (an equality) for Linear; for capped and concave forms it is
     the linearization at the origin, which dominates the form.
     """
-    if isinstance(m, Linear):
-        return m.coeffs
-    if isinstance(m, CappedLinear):
+    if isinstance(m, (Linear, CappedLinear)):
         return m.coeffs
     if isinstance(m, PiecewiseConcave):
         s = m.first_slope()
@@ -371,9 +349,7 @@ def linear_upper_row(m: Modulus) -> Vec | None:
     if isinstance(m, Zero):
         return (ZERO,) * m.arity
     if isinstance(m, MaxOf):
-        rows = [linear_upper_row(op) for op in m.operands]
-        if any(r is None for r in rows):
-            return None
+        rows = [linear_upper_row(op) for op in m.operands]  # MaxOf operands all have rows
         return tuple(max(r[j] for r in rows) for j in range(m.arity))
     if isinstance(m, PolyhedralMax):
         return tuple(max(r[j] for r in m.rows) for j in range(m.arity))

@@ -48,7 +48,7 @@ from .family import family_stack
 from .moduli import SumWeakModulus
 from .rationals import ZERO, format_rational, lcm_denominator
 from .structures import PreStructure
-from .syntax import Atomic, ConstF, Formula, MaxF, MinF, PwlF, SegF, basic_atomics
+from .syntax import Atomic, ConstF, Formula, MaxF, MinF, SegF, basic_atomics
 
 _AUTO_TUPLE_BUDGET = 2000  # top-arity tuple count the auto cap will allow
 # Stage-0 cells a window may hold, checked before any table exists.  A
@@ -184,11 +184,9 @@ class BFEngine:
         self.omega = omega or SumWeakModulus()
         self.config = config or EngineConfig()
         self.cap = self.config.resolved_cap(len(structure.points))
-        self._families: dict[int, list[Formula]] = {}
         self._tuples: dict[int, list[tuple[str, ...]]] = {}
         self._tables: dict[tuple[int, int], np.ndarray] = {}
         self._codebook: tuple[Fraction, ...] = ()
-        self._built = False
 
     # -- construction -------------------------------------------------
 
@@ -205,15 +203,8 @@ class BFEngine:
         return idx
 
     def family(self, n: int) -> list[Formula]:
-        if n not in self._families:
-            self._families[n] = family_stack(
-                self.s.signature,
-                self.omega,
-                n,
-                self.config.family_size,
-                self.config.term_depth,
-            )
-        return self._families[n]
+        cfg = self.config
+        return family_stack(self.s.signature, self.omega, n, cfg.family_size, cfg.term_depth)
 
     def _formula_rows(
         self, members: list[Formula], tuples: list[tuple[str, ...]], values: dict[Fraction, int]
@@ -241,10 +232,6 @@ class BFEngine:
             if isinstance(phi, (MinF, MaxF)):
                 pick = min if isinstance(phi, MinF) else max
                 return [pick(vs) for vs in zip(*(column(f, at, k) for f in phi.items))]
-            if isinstance(phi, PwlF):
-                arg = column(phi.arg, at, k)
-                image = {v: phi.apply(v) for v in set(arg)}
-                return [image[v] for v in arg]
             if isinstance(phi, SegF):
                 return phi.segment.column([column(f, at, k) for f in phi.args])
             raise TypeError(type(phi))
@@ -289,7 +276,12 @@ class BFEngine:
             seen = len(members)
         self._codebook, tables = _stage0(rows, values)
         self._tables.update(((n, 0), table) for n, table in tables.items())
-        self._built = True
+
+    @property
+    def _built(self) -> bool:
+        """Stage 0 is built exactly when a table exists (the tracer in
+        ``perfbench`` reads this to time stage 0 once per engine)."""
+        return bool(self._tables)
 
     @property
     def codebook(self) -> tuple[Fraction, ...]:
@@ -342,11 +334,12 @@ class BFEngine:
         if len(a) != len(b):
             raise ValueError("tuples must have equal length")
         n = len(a)
+        members = self.family(n)
         values: dict[Fraction, int] = {}
-        rows = self._formula_rows(self.family(n), [a, b], values)
+        rows = self._formula_rows(members, [a, b], values)
         codebook, tables = _stage0({n: rows}, values)
         best = codebook[tables[n][0, 1]]
-        meta: dict = {"family_size": len(self.family(n)), "arity": n}
+        meta: dict = {"family_size": len(members), "arity": n}
         sig = self.s.signature
         if not sig.relations and not sig.functions and not sig.constants:
             oracle = ZERO
@@ -401,8 +394,8 @@ class BFEngine:
         """Least fixed point of the threshold operator at q, with entry stages.
 
         Clause 1 (length mismatch) is implicit: every unequal-length pair
-        is a member from stage 0 and is reported by ``member`` without
-        being stored.  Equal-length pairs at arity n carry valid entry
+        is a member from stage 0 (``entry_stage`` gives 0) without being
+        stored.  Equal-length pairs at arity n carry valid entry
         stages up to the triangular window for that arity.
 
         Arity n at stage k reads only arity n+1 at stage k-1 and the iterates
@@ -460,9 +453,7 @@ class BFEngine:
         mismatches: list[tuple] = []
         pairs = 0
         for n in range(1, self.cap + 1):
-            w = self.window(n)
-            gamma = trace.entry[n].copy()
-            gamma[gamma > w] = -1
+            gamma = trace.entry[n]
             rstages = self.r_entry_stages(q, n)
             pairs += gamma.size
             if np.array_equal(gamma, rstages):

@@ -259,17 +259,7 @@ def formula_free_vars(phi: Formula) -> frozenset[int]:
 
 def is_basic(phi: Formula) -> bool:
     """Basic = built from atomics and connectives only (no sup/inf)."""
-    if isinstance(phi, (Sup, Inf)):
-        return False
-    if isinstance(phi, (Atomic, ConstF)):
-        return True
-    if isinstance(phi, (MinF, MaxF)):
-        return all(is_basic(f) for f in phi.items)
-    if isinstance(phi, PwlF):
-        return is_basic(phi.arg)
-    if isinstance(phi, SegF):
-        return all(is_basic(f) for f in phi.args)
-    raise TypeError(type(phi))
+    return not any(isinstance(f, (Sup, Inf)) for f in subformulas(phi))
 
 
 def subformulas(phi: Formula) -> Iterator[Formula]:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mscott.evaluation import Evaluator
+from mscott.family import _ENUM_CACHE
 from mscott.rationals import lcm_denominator
 from mscott.scott import BFEngine, EngineConfig, TableBudgetError, _lift
 from mscott.structures import (
@@ -430,9 +431,13 @@ def test_gamma_every_field_matches_oracle(data_dir, name, stage_cap):
     for q in (F(1, 10), F(1, 4)):
         trace = assert_gamma_matches_oracle(eng, q)
         assert len(trace.stage_sizes) <= stage_cap + 1
+        # arity n enters at stage k only if n + k entered at stage 0, so every
+        # entry stage lies in the window and the oracle reads it unmasked
+        assert all((trace.entry[n] <= eng.window(n)).all() for n in range(1, eng.cap + 1))
     # above every codebook value stage 0 is empty, so it closes at once
     trace = assert_gamma_matches_oracle(eng, eng.codebook[-1] + 1)
     assert trace.closed and trace.closure_stage == 0 and trace.stage_sizes == [{1: 0, 2: 0, 3: 0}]
+    assert all((trace.entry[n] <= eng.window(n)).all() for n in range(1, eng.cap + 1))
 
 
 def test_gamma_stage_sizes_monotone_until_closure(three_engine):
@@ -478,9 +483,12 @@ def test_rank_not_definitive_without_checked_tables(three_point):
 def test_table_budget_is_checked_before_building(square):
     # 4 points at table cap 7: sum of (4^n)^2 for n = 1..7 stage-0 cells
     eng = BFEngine(square, config=EngineConfig(table_cap=7))
+    emitted = {key: len(e._emitted) for key, e in _ENUM_CACHE.items()}
     with pytest.raises(TableBudgetError, match="286,331,152 cells"):
         eng.scott_rank()
-    assert eng._tables == {} and eng._families == {}
+    assert eng._tables == {} and not eng._built
+    # no family was enumerated for the refused build
+    assert {key: len(e._emitted) for key, e in _ENUM_CACHE.items()} == emitted
     # a large arity cap reaches the same budget through the automatic cap
     with pytest.raises(TableBudgetError):
         BFEngine(square, config=EngineConfig(max_arity=10)).gamma_fixpoint(F(1, 10))

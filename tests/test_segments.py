@@ -126,11 +126,16 @@ def test_approximate_rejects_disrespectful_target():
 
 
 def test_approximate_budget_failure_reports_best():
-    res = lattice_approximate(
-        lambda p: p[0], Linear((F(1),)), F(1, 100), D01, budget=4, grid=GRID8
-    )
-    assert res.leaves <= GRID8.__len__() * len(GRID8.axis())
-    assert res.deviation >= 0  # honest report either way
+    # the budget bounds anchors x sample points: the 9 anchors of the 1/8
+    # grid are halved to 5, 3, 2, 1, and one anchor's 9 segments are the floor
+    for budget, meets, leaves, succeeded in [(4, 1, 9, False), (26, 2, 18, True),
+                                             (27, 3, 27, True)]:
+        res = lattice_approximate(
+            lambda p: p[0], Linear((F(1),)), F(1, 100), D01, budget=budget, grid=GRID8
+        )
+        assert (len(res.term.items), res.leaves, res.succeeded) == (meets, leaves, succeeded)
+        assert res.leaves <= max(budget, len(GRID8.axis()))
+        assert res.deviation >= 0  # honest report either way
 
 
 def test_approximant_is_a_join_of_meets_of_segments():

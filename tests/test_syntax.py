@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mscott.moduli import Linear, Zero, check_modulus
+from mscott.moduli import Linear, Zero, check_modulus, is_zero_modulus, linear_upper_row
 from mscott.parser import (
     ParseError,
     parse_formula,
@@ -51,6 +51,20 @@ ROUNDTRIP = [
     "sup v2 . latmin(d(v0, v2), d(v1, v2))",
     "d(f(v0), c)",
     "const(1)",
+]
+
+MODULUS_ROUNDTRIP = [
+    "linear(1,1)",
+    "capped(1; 2,2)",
+    "pwl((0,0),(1/4,1/2),(1,1))",
+    "pwl((0,0),(1,1); 1,2)",
+    "zero(2)",
+    "maxof(linear(1,2), linear(2,4))",
+    "polymax((1,0),(0,1))",
+    "compose(linear(1,1); linear(2), linear(3))",
+    "compose(linear(1,0); zero(1), capped(1; 1))",  # identically 0
+    "pwl((0,0),(1,0))",
+    "maxof(linear(0), zero(1))",
 ]
 
 
@@ -103,18 +117,23 @@ def test_formula_file_body_checked_against_its_header(body, message):
 
 
 def test_modulus_roundtrip():
-    for text in [
-        "linear(1,1)",
-        "capped(1; 2,2)",
-        "pwl((0,0),(1/4,1/2),(1,1))",
-        "pwl((0,0),(1,1); 1,2)",
-        "zero(2)",
-        "maxof(linear(1,2), linear(2,4))",
-        "polymax((1,0),(0,1))",
-        "compose(linear(1,1); linear(2), linear(3))",
-    ]:
+    for text in MODULUS_ROUNDTRIP:
         m = parse_modulus(text)
         assert parse_modulus(print_modulus(m)) == m
+
+
+@pytest.mark.parametrize("text", MODULUS_ROUNDTRIP)
+def test_zero_modulus_is_a_zero_upper_row(text):
+    m = parse_modulus(text)
+    row = linear_upper_row(m)
+    assert is_zero_modulus(m) == (row is not None and not any(row))
+    # every form here has a row, so zero-ness is exact: a nonzero row shows
+    # on some point of the half grid
+    assert is_zero_modulus(m) == all(m(p) == 0 for p in RatGrid(m.arity, F(1, 2), F(1)).points())
+
+
+def test_zero_compose_is_detected():
+    assert is_zero_modulus(parse_modulus("compose(linear(1,0); zero(1), capped(1; 1))"))
 
 
 def test_term_printing():
