@@ -132,10 +132,6 @@ def test_zero_modulus_is_a_zero_upper_row(text):
     assert is_zero_modulus(m) == all(m(p) == 0 for p in RatGrid(m.arity, F(1, 2), F(1)).points())
 
 
-def test_zero_compose_is_detected():
-    assert is_zero_modulus(parse_modulus("compose(linear(1,0); zero(1), capped(1; 1))"))
-
-
 def test_term_printing():
     t = parse_term("f(v0)")
     assert print_term(t) == "f(v0)"
