@@ -7,7 +7,7 @@ modulus-respecting basic formulas -> back-and-forth pseudo-distances,
 Scott rank, and the threshold fixpoint operator.
 """
 
-from .evaluation import Evaluator, eval_dense_agreement
+from .evaluation import Evaluator
 from .family import (
     ApproximationResult,
     FamilyEnumerator,
@@ -24,7 +24,6 @@ from .moduli import (
     MaxOf,
     Modulus,
     ModulusWindowError,
-    NiceDomain,
     PiecewiseConcave,
     PolyhedralMax,
     SumWeakModulus,
@@ -46,7 +45,7 @@ from .parser import (
     print_modulus,
     print_term,
 )
-from .rationals import RatGrid, clamp_unit, format_rational, parse_rational
+from .rationals import RatGrid, format_rational, parse_rational
 from .scott import BFEngine, EngineConfig, EquivalenceReport, FixpointTrace, RankReport
 from .segments import SegmentConnective, make_segment, segment_norm_bound
 from .structures import (

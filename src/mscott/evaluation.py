@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rationals import format_rational
 from .structures import PreStructure
 from .syntax import (
     Atomic,
@@ -36,12 +35,11 @@ Env = tuple[str | None, ...]
 
 
 class Evaluator:
-    """Tree-walking evaluator over one structure, with optional quantifier
-    domain restriction (used by the dense-subset agreement check)."""
+    """Tree-walking evaluator over one structure; quantifiers range over
+    all of its points."""
 
-    def __init__(self, structure: PreStructure, domain: tuple[str, ...] | None = None):
+    def __init__(self, structure: PreStructure):
         self.s = structure
-        self.domain = domain if domain is not None else structure.points
 
     def term(self, t: Term, env: Env) -> str:
         if isinstance(t, Var):
@@ -79,45 +77,8 @@ class Evaluator:
             while len(base) <= i:
                 base.append(None)
             vals = []
-            for x in self.domain:
+            for x in self.s.points:
                 base[i] = x
                 vals.append(self.formula(phi.body, tuple(base)))
             return max(vals) if isinstance(phi, Sup) else min(vals)
         raise TypeError(type(phi))
-
-
-def subset_density(s: PreStructure, subset: tuple[str, ...]) -> Fraction:
-    """max over points of the distance to the nearest subset point."""
-    if not subset:
-        raise ValueError("subset must be nonempty")
-    return max(min(s.metric[(p, q)] for q in subset) for p in s.points)
-
-
-def eval_dense_agreement(
-    phi: Formula,
-    s: PreStructure,
-    subset: tuple[str, ...],
-    point_tuple: tuple[str, ...],
-    resolution: Fraction,
-) -> tuple[Fraction, Fraction]:
-    """Evaluate with quantifiers restricted to a metrically dense subset and
-    over the full structure; returns (subset value, full value).
-
-    The subset must be contained in the structure, contain the tuple,
-    and be dense at the stated resolution.  The caller (test harness)
-    bounds the difference by the canonical modulus at the resolution.
-    """
-    missing = [q for q in subset if q not in s.points]
-    if missing:
-        raise ValueError(f"subset point {missing[0]!r} not in the structure")
-    if any(p not in subset for p in point_tuple):
-        raise ValueError("the evaluation tuple must be drawn from the subset")
-    dens = subset_density(s, subset)
-    if dens > resolution:
-        raise ValueError(
-            f"subset is only {format_rational(dens)}-dense, needed "
-            f"{format_rational(Fraction(resolution))}"
-        )
-    sub_val = Evaluator(s, domain=subset).formula(phi, point_tuple)
-    full_val = Evaluator(s).formula(phi, point_tuple)
-    return sub_val, full_val

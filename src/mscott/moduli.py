@@ -433,24 +433,15 @@ def check_modulus(m: Modulus, grid: RatGrid, max_failures: int = 5) -> ModulusCh
 
 @dataclass(frozen=True)
 class SumWeakModulus:
-    """The weak modulus x |-> scale * sum_i x_i; its arity-n slice is
-    Linear(scale, ..., scale).  Slices are consistent by construction."""
+    """The weak modulus x |-> sum_i x_i; its arity-n slice is
+    Linear(1, ..., 1).  Slices are consistent by construction."""
 
-    scale: Fraction = ONE
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "scale", Fraction(self.scale))
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-
-    @property
-    def name(self) -> str:
-        return "sum" if self.scale == 1 else f"sum*{format_rational(self.scale)}"
+    name = "sum"
 
     def slice(self, n: int) -> Modulus:
         if n < 0:
             raise ValueError("slice arity must be >= 0")
-        return Linear((self.scale,) * n)
+        return Linear((ONE,) * n)
 
 
 def weak_modulus(name: str) -> SumWeakModulus:
@@ -458,34 +449,6 @@ def weak_modulus(name: str) -> SumWeakModulus:
     if name == "sum":
         return SumWeakModulus()
     raise ValueError(f"unknown weak modulus {name!r} (shipped: 'sum')")
-
-
-# ---------------------------------------------------------------------------
-# Nice domains
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NiceDomain:
-    """A downward-closed union of boxes [0, c] containing a neighborhood
-    of the origin; ``boxes`` lists the upper corners."""
-
-    arity: int
-    boxes: tuple[Vec, ...]
-
-    def __post_init__(self) -> None:
-        boxes = tuple(tuple(Fraction(c) for c in b) for b in self.boxes)
-        object.__setattr__(self, "boxes", boxes)
-        if any(len(b) != self.arity for b in boxes):
-            raise ValueError("box corners must match the arity")
-        if any(c < 0 for b in boxes for c in b):
-            raise ValueError("box corners must be nonnegative")
-        if not any(all(c > 0 for c in b) for b in boxes):
-            raise ValueError("domain must contain a box with positive sides around 0")
-
-    def contains(self, x: Sequence[Fraction]) -> bool:
-        xs = tuple(Fraction(v) for v in x)
-        return all(v >= 0 for v in xs) and any(vec_le(xs, b) for b in self.boxes)
 
 
 # ---------------------------------------------------------------------------
@@ -645,33 +608,24 @@ def largest_modulus_below(
     f: Mapping[Vec, Fraction] | Callable[[Vec], Fraction],
     k_max: int,
     grid: RatGrid | None = None,
-    domain: NiceDomain | None = None,
 ) -> EnvelopeTable:
     """Truncated largest-modulus-below envelope of sampled data.
 
     ``f`` is either an explicit mapping from sample points to exact
-    values, or a callable sampled on ``grid`` (restricted to ``domain``
-    when given).  Rejects data with f(0) != 0, negative values, or a
-    decrease along a comparable sample pair, and 1-d samples on an axis
-    past ``_AXIS_LIMIT`` points (from the step and bound of a 1-d grid).
+    values, or a callable sampled on ``grid``.  Rejects data with
+    f(0) != 0, negative values, or a decrease along a comparable sample
+    pair, and 1-d samples on an axis past ``_AXIS_LIMIT`` points (from
+    the step and bound of a 1-d grid).
     """
     if callable(f) and not isinstance(f, Mapping):
         if grid is None:
             raise ValueError("a callable target needs a grid to sample on")
-        if grid.dimension == 1 and domain is None:
+        if grid.dimension == 1:
             # all grid points but the largest, the bound, are multiples of the step
             axis_size({min(grid.step, grid.bound), grid.bound}, k_max)
-        samples = {}
-        for p in grid.points():
-            if domain is not None and not domain.contains(p):
-                continue
-            samples[p] = Fraction(f(p))
+        samples = {p: Fraction(f(p)) for p in grid.points()}
     else:
         samples = {tuple(Fraction(x) for x in p): Fraction(v) for p, v in f.items()}
-        if domain is not None:
-            bad = [p for p in samples if not domain.contains(p)]
-            if bad:
-                raise ValueError(f"sample point {format_vec(bad[0])} outside the domain")
     if not samples:
         raise ValueError("no sample points")
     n = len(next(iter(samples)))
@@ -791,9 +745,9 @@ def induced_modulus_exact(
     linear row (rows[i] . x >= Delta_i(x)).
 
     The induced value at r is the linear program
-    min{ scale * sum(x) : rows . x >= r, x >= 0 }, whose value function
+    min{ sum(x) : rows . x >= r, x >= 0 }, whose value function
     is, by duality, the maximum of r . lam over the vertices lam of
-    { lam >= 0 : rows^T lam <= scale }.  That maximum of nonnegative
+    { lam >= 0 : rows^T lam <= 1 }.  That maximum of nonnegative
     linear forms is itself a modulus and is returned in closed form.
     """
     rows = [tuple(Fraction(c) for c in row) for row in rows]
@@ -805,11 +759,10 @@ def induced_modulus_exact(
         raise ValueError("rows must share a length")
     if any(not any(r) for r in rows):
         raise ValueError("a row is identically zero; reduce the tuple first")
-    s = omega.scale
     # Constraint system G lam <= h:  columns of `rows` plus lam >= 0.
     cons: list[tuple[Vec, Fraction]] = []
     for j in range(n):
-        cons.append((tuple(rows[i][j] for i in range(k)), s))
+        cons.append((tuple(rows[i][j] for i in range(k)), ONE))
     for i in range(k):
         cons.append((tuple(-ONE if t == i else ZERO for t in range(k)), ZERO))
     vertices: set[Vec] = set()

@@ -1,4 +1,4 @@
-"""Exact rational scalars, [0,1]-clamping, and rational sampling grids.
+"""Exact rational scalars, [0,1] checks, and rational sampling grids.
 
 Every core computation in this package runs on ``fractions.Fraction``;
 no floats appear anywhere in library code.  Decimal rendering exists
@@ -40,16 +40,6 @@ def format_rational(q: Fraction) -> str:
 
 def format_vec(xs: Sequence[Fraction]) -> str:
     return "(" + ", ".join(format_rational(x) for x in xs) + ")"
-
-
-def clamp_unit(x: Fraction | int) -> Fraction:
-    """Clamp into [0,1]: min(1, max(0, x))."""
-    x = Fraction(x)
-    if x < 0:
-        return ZERO
-    if x > 1:
-        return ONE
-    return x
 
 
 def is_unit(x: Fraction) -> bool:

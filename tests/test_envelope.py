@@ -143,6 +143,15 @@ def test_envelope_k_max_monotone():
         assert e8((x,)) <= e4((x,))
 
 
+def test_envelope_samples_a_callable_on_a_2d_grid():
+    g = RatGrid(2, F(1, 4), F(1))
+    pts = list(g.points())
+    assert len(pts) == 25
+    from_callable = largest_modulus_below(lambda p: max(p), 4, grid=g)
+    from_mapping = largest_modulus_below({p: max(p) for p in pts}, 4)
+    assert from_callable.table() == from_mapping.table()
+
+
 def test_envelope_rejects_bad_input():
     with pytest.raises(ValueError):
         largest_modulus_below({(F(0),): F(1, 2)}, 4)  # f(0) != 0
@@ -217,19 +226,6 @@ def test_grid_refusal_from_step_and_bound(step, bound, k_max):
         assert expected is None and len(calls) == len(axis)
     except ModulusWindowError as err:
         assert str(err) == expected and calls == []
-
-
-def test_envelope_respects_nice_domain():
-    from mscott.moduli import NiceDomain
-
-    g = RatGrid(1, F(1, 4), F(1))
-    dom = NiceDomain(1, ((F(1, 2),),))
-    env = largest_modulus_below(lambda p: p[0], 8, grid=g, domain=dom)
-    assert env.sample_points() == ((F(0),), (F(1, 4),), (F(1, 2),))
-    # decompositions from A still reach beyond its boundary
-    assert env((F(1),)) == F(1)
-    with pytest.raises(ValueError):
-        largest_modulus_below({(F(0),): F(0), (F(1),): F(1)}, 4, domain=dom)
 
 
 @given(

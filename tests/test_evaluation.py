@@ -6,8 +6,6 @@ import pytest
 from mscott.evaluation import (
     Evaluator,
     UnassignedVariable,
-    eval_dense_agreement,
-    subset_density,
 )
 from mscott.family import family_stack
 from mscott.moduli import SumWeakModulus
@@ -114,57 +112,6 @@ def test_respects_canonical_modulus(corpus, three_point):
                     gap = abs(ev.formula(phi, ta) - ev.formula(phi, tb))
                     dists = tuple(s.d(a, b) for a, b in zip(ta, tb))
                     assert gap <= canon(dists)
-
-
-def test_subset_density(data_dir):
-    line = load_structure(data_dir / "line9.ms")
-    assert subset_density(line, ("p0", "p4", "p8")) == F(1, 4)
-    assert subset_density(line, line.points) == 0
-
-
-def test_dense_agreement_full_subset(three_point):
-    phi = parse_formula("sup v1 . d(v0, v1)", three_point.signature)
-    a, b = eval_dense_agreement(phi, three_point, three_point.points, ("x",), F(1))
-    assert a == b == F(2, 5)
-
-
-def test_dense_agreement_quantifier_free(data_dir):
-    line = load_structure(data_dir / "line9.ms")
-    phi = parse_formula("d(v0, v1)", line.signature)
-    a, b = eval_dense_agreement(phi, line, ("p0", "p8"), ("p0", "p8"), F(1, 2))
-    assert a == b
-
-
-def test_dense_agreement_sup_within_canonical_bound(data_dir):
-    line = load_structure(data_dir / "line9.ms")
-    # max over y of min(d(x,y), 1 - d(x,y)): the 1/2-dense subset {p0, p8}
-    # misses the middle witness entirely
-    phi = parse_formula(
-        "sup v1 . latmin(d(v0, v1), pwl((0,1),(1,0); d(v0, v1)))", line.signature
-    )
-    body = parse_formula(
-        "latmin(d(v0, v1), pwl((0,1),(1,0); d(v0, v1)))", line.signature
-    )
-    canon = canonical_modulus(body, line.signature, 2)
-    sub, full = eval_dense_agreement(phi, line, ("p0", "p8"), ("p0",), F(1, 2))
-    assert full == F(1, 2) and sub == F(0)
-    assert abs(sub - full) <= canon((F(0), F(1, 2)))
-    # a 1/4-dense subset of the nine-point segment stays within the
-    # canonical bound at resolution 1/4
-    quarter = ("p0", "p2", "p4", "p6", "p8")
-    sub4, full4 = eval_dense_agreement(phi, line, quarter, ("p0",), F(1, 4))
-    assert abs(sub4 - full4) <= canon((F(0), F(1, 4)))
-
-
-def test_dense_agreement_validates_inputs(three_point):
-    phi = parse_formula("d(v0, v0)", three_point.signature)
-    with pytest.raises(ValueError):
-        eval_dense_agreement(phi, three_point, ("x", "nope"), ("x",), F(1))
-    with pytest.raises(ValueError):
-        eval_dense_agreement(phi, three_point, ("x",), ("y",), F(1))
-    with pytest.raises(ValueError):
-        # {x} is only 3/5-dense, resolution claim 1/5 fails
-        eval_dense_agreement(phi, three_point, ("x",), ("x",), F(1, 5))
 
 
 def test_evaluator_cache_transparent(three_point):

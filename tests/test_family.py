@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from mscott.family import (
+    _ENUM_CACHE,
     FamilyEnumerator,
     atomic_pool,
     enumerate_family,
@@ -92,6 +93,17 @@ def test_family_stack_contains_lower_arities():
     stack = {print_formula(f) for f in family_stack(EMPTY_SIGNATURE, OMEGA, 3, 30)}
     for phi in enumerate_family(EMPTY_SIGNATURE, OMEGA, 2, 30):
         assert print_formula(phi) in stack
+
+
+def test_family_cache_is_shared_across_weak_modulus_instances():
+    # the cache keys on the weak modulus, so a fresh instance must hit the
+    # entries another instance made rather than enumerate again
+    assert SumWeakModulus() == SumWeakModulus()
+    assert hash(SumWeakModulus()) == hash(SumWeakModulus())
+    first = family_stack(EMPTY_SIGNATURE, SumWeakModulus(), 3, 20)
+    keys = set(_ENUM_CACHE)
+    assert family_stack(EMPTY_SIGNATURE, SumWeakModulus(), 3, 20) == first
+    assert set(_ENUM_CACHE) == keys
 
 
 @pytest.mark.parametrize("sig_file", [None, "rel_demo.ms", "square.ms"])

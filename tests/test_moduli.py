@@ -9,7 +9,6 @@ from mscott.moduli import (
     Compose,
     Linear,
     MaxOf,
-    NiceDomain,
     PiecewiseConcave,
     PolyhedralMax,
     SumWeakModulus,
@@ -165,12 +164,3 @@ def test_weak_modulus_slices():
     assert weak_modulus("sum") == om
     with pytest.raises(ValueError):
         weak_modulus("mystery")
-
-
-def test_nice_domain():
-    d = NiceDomain(2, ((F(1), F(1, 2)), (F(1, 4), F(1))))
-    assert d.contains((F(1), F(1, 2)))
-    assert d.contains((F(1, 8), F(3, 4)))
-    assert not d.contains((F(1), F(1)))
-    with pytest.raises(ValueError):
-        NiceDomain(2, ((F(1), F(0)),))  # no positive box around 0

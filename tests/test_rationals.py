@@ -6,30 +6,12 @@ from hypothesis import strategies as st
 
 from mscott.rationals import (
     RatGrid,
-    clamp_unit,
     format_rational,
     lcm_denominator,
     parse_rational,
 )
 
 rationals = st.fractions(max_denominator=64)
-
-
-def test_clamp_examples():
-    assert clamp_unit(F(3, 2)) == 1
-    assert clamp_unit(F(-1, 4)) == 0
-    assert clamp_unit(F(2, 5)) == F(2, 5)
-
-
-@given(rationals)
-def test_clamp_idempotent(x):
-    assert clamp_unit(clamp_unit(x)) == clamp_unit(x)
-
-
-@given(rationals, rationals)
-def test_clamp_monotone(x, y):
-    if x <= y:
-        assert clamp_unit(x) <= clamp_unit(y)
 
 
 @given(rationals, rationals, rationals)
