@@ -242,7 +242,9 @@ def cmd_r0(structure: str, tuple_a: str, tuple_b: str, family: int, as_json: boo
         "tuple_a": list(a),
         "tuple_b": list(b),
         "value": format_rational(value),
-        "meta": meta | {"params": engine.config.meta(engine.cap)},
+        # r0_pair reads the family alone, not the table window
+        "meta": meta | {"params": {"family_size": engine.config.family_size,
+                                   "term_depth": engine.config.term_depth}},
     }
     lines = [f"r0 = {format_rational(value)}  [family {meta['family_size']}]"]
     if "metric_oracle" in meta:
@@ -265,8 +267,7 @@ def cmd_ralpha(structure: str, stage: int, arity: int, family: int, as_json: boo
     s = _load(structure)
     engine = BFEngine(
         s,
-        config=EngineConfig(family_size=family, max_arity=arity, stage_cap=max(stage, 1),
-                            table_cap=arity + stage),
+        config=EngineConfig(family_size=family, max_arity=arity, table_cap=arity + stage),
     )
     rows = [
         {"a": list(a), "b": list(b), "value": format_rational(v)}
@@ -290,15 +291,14 @@ def cmd_ralpha(structure: str, stage: int, arity: int, family: int, as_json: boo
 @click.argument("structure", type=click.Path())
 @click.option("--max-arity", default=3, show_default=True, type=click.IntRange(min=1))
 @click.option("--family", default=200, show_default=True, type=click.IntRange(min=0))
-@click.option("--stage-cap", default=8, show_default=True, type=click.IntRange(min=1))
 @click.option("--table-cap", default=None, type=click.IntRange(min=1))
 @click.option("--json", "as_json", is_flag=True)
-def cmd_scott_rank(structure: str, max_arity: int, family: int, stage_cap: int,
-                   table_cap: int | None, as_json: bool) -> None:
+def cmd_scott_rank(structure: str, max_arity: int, family: int, table_cap: int | None,
+                   as_json: bool) -> None:
     """Least stage at which the computed stage tables stabilize."""
     s = _load(structure)
     engine = BFEngine(s, config=EngineConfig(family_size=family, max_arity=max_arity,
-                                             stage_cap=stage_cap, table_cap=table_cap))
+                                             table_cap=table_cap))
     report = engine.scott_rank()
     payload = {
         "command": "scott-rank",
@@ -326,22 +326,21 @@ def cmd_scott_rank(structure: str, max_arity: int, family: int, stage_cap: int,
 @main.command("fixpoint")
 @click.argument("structure", type=click.Path())
 @click.option("--q", "q_text", required=True, help="positive rational threshold, e.g. 1/10")
-@click.option("--stage-cap", default=8, show_default=True, type=click.IntRange(min=0))
 @click.option("--max-arity", default=3, show_default=True, type=click.IntRange(min=1))
 @click.option("--family", default=200, show_default=True, type=click.IntRange(min=0))
 @click.option("--table-cap", default=None, type=click.IntRange(min=1))
 @click.option("--limit", default=50, show_default=True, type=click.IntRange(min=0),
               help="maximum number of member pairs to list")
 @click.option("--json", "as_json", is_flag=True)
-def cmd_fixpoint(structure: str, q_text: str, stage_cap: int, max_arity: int,
-                 family: int, table_cap: int | None, limit: int, as_json: bool) -> None:
+def cmd_fixpoint(structure: str, q_text: str, max_arity: int, family: int,
+                 table_cap: int | None, limit: int, as_json: bool) -> None:
     """Least fixed point of the threshold operator at q, with entry stages."""
     s = _load(structure)
     q = _rat_arg(q_text, "--q")
     if q <= 0:
         raise ValueError("--q must be positive")
     engine = BFEngine(s, config=EngineConfig(family_size=family, max_arity=max_arity,
-                                             stage_cap=stage_cap, table_cap=table_cap))
+                                             table_cap=table_cap))
     trace = engine.gamma_fixpoint(q)
     total = 0
     shown = []
@@ -372,10 +371,7 @@ def cmd_fixpoint(structure: str, q_text: str, stage_cap: int, max_arity: int,
         "note": "length-mismatched pairs are members from stage 0 and are not listed",
         "meta": trace.meta,
     }
-    lines = [
-        f"threshold q = {format_rational(q)}; "
-        + (f"closed at stage {trace.closure_stage}" if trace.closed else "not closed within the cap")
-    ]
+    lines = [f"threshold q = {format_rational(q)}; closed at stage {trace.closure_stage}"]
     for n, a, b, k in shown:
         lines.append(f"({','.join(a)}) ({','.join(b)}) enters at stage {k}")
     if total > len(shown):

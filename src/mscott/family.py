@@ -241,7 +241,7 @@ class FamilyEnumerator:
             rows.append(row)
         key = tuple(rows)
         if key not in self._delta_cache:
-            self._delta_cache[key] = induced_modulus_exact(rows, self.omega)
+            self._delta_cache[key] = induced_modulus_exact(rows)
         return self._delta_cache[key]
 
     def _diagonal(self) -> Iterator[Formula]:

@@ -738,13 +738,11 @@ def _solve_square(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] 
     return [m[r][k] for r in range(k)]
 
 
-def induced_modulus_exact(
-    rows: Sequence[Vec], omega: SumWeakModulus
-) -> Modulus:
+def induced_modulus_exact(rows: Sequence[Vec]) -> Modulus:
     """Exact induced modulus when every atomic modulus is dominated by a
     linear row (rows[i] . x >= Delta_i(x)).
 
-    The induced value at r is the linear program
+    The induced value at r under the sum weak modulus is the linear program
     min{ sum(x) : rows . x >= r, x >= 0 }, whose value function
     is, by duality, the maximum of r . lam over the vertices lam of
     { lam >= 0 : rows^T lam <= 1 }.  That maximum of nonnegative

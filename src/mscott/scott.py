@@ -13,13 +13,14 @@ The engine computes, for one finite structure:
   i.e. the two-sided Hausdorff lift over one-point extensions (the
   inf over independent witnesses splits into the two one-sided terms);
 * a triangular table family: stage alpha is available at arity n when
-  n + alpha <= table_cap, making the inevitable truncation explicit;
+  n + alpha <= table_cap, the one truncation, made explicit;
 * the threshold operator at a rational q > 0, whose stages collect,
   besides length-mismatched pairs, exactly the pairs with r_k > q.
   Thresholding commutes with min and max, so its step is the same lift
-  on a boolean table (min and max are AND and OR); its least fixed point
-  and entry stages are compared against the r-threshold predicate by
-  ``oracle_equivalence``.
+  on a boolean table (min and max are AND and OR).  Its top arity is
+  fixed at stage 0, so its least fixed point closes by stage table_cap
+  inside the same window; the fixpoint and entry stages are compared
+  against the r-threshold predicate by ``oracle_equivalence``.
 
 Arithmetic is exact throughout.  Every successor stage is a min/max of
 the stage before, so every stage holds only stage-0 values, and every
@@ -65,17 +66,16 @@ class TableBudgetError(ValueError):
 class EngineConfig:
     family_size: int = 200
     max_arity: int = 3
-    stage_cap: int = 8
     table_cap: int | None = None  # arity + stage window; None picks a size-aware default
     term_depth: int = 1
 
     def resolved_cap(self, n_points: int) -> int:
-        """Explicit cap wins; otherwise max_arity + min(stage_cap, 2),
-        clamped so the top-arity tuple set stays within budget (but always
-        leaving at least one successor stage above max_arity)."""
+        """Explicit cap wins; otherwise max_arity + 2, clamped so the
+        top-arity tuple set stays within budget (but always leaving at
+        least one successor stage above max_arity)."""
         if self.table_cap is not None:
             return self.table_cap
-        cap = self.max_arity + min(self.stage_cap, 2)
+        cap = self.max_arity + 2
         while cap > self.max_arity + 1 and n_points**cap > _AUTO_TUPLE_BUDGET:
             cap -= 1
         return cap
@@ -85,7 +85,6 @@ class EngineConfig:
         return {
             "family_size": self.family_size,
             "max_arity": self.max_arity,
-            "stage_cap": self.stage_cap,
             "table_cap": cap,
             "term_depth": self.term_depth,
         }
@@ -103,11 +102,11 @@ class RankReport:
 @dataclass
 class FixpointTrace:
     q: Fraction
-    # arity -> entry stage per pair (-1: not within window), as the smallest
-    entry: dict[int, np.ndarray]  # signed integer type holding stage_cap
+    # arity -> entry stage per pair (-1: never enters), as the smallest
+    entry: dict[int, np.ndarray]  # signed integer type holding the table cap
     stage_sizes: list[dict[int, int]]  # per stage, per arity, members among equal-length pairs
-    closed: bool
-    closure_stage: int | None
+    closed: bool  # always true: the fixpoint closes by stage cap
+    closure_stage: int
     meta: dict
 
     def entry_stage(self, a: tuple[str, ...], b: tuple[str, ...], engine: "BFEngine") -> int | None:
@@ -174,14 +173,8 @@ def _lift(x: np.ndarray, m: int) -> np.ndarray:
 class BFEngine:
     """All back-and-forth computations for one validated structure."""
 
-    def __init__(
-        self,
-        structure: PreStructure,
-        omega: SumWeakModulus | None = None,
-        config: EngineConfig | None = None,
-    ):
+    def __init__(self, structure: PreStructure, config: EngineConfig | None = None):
         self.s = structure
-        self.omega = omega or SumWeakModulus()
         self.config = config or EngineConfig()
         self.cap = self.config.resolved_cap(len(structure.points))
         self._tuples: dict[int, list[tuple[str, ...]]] = {}
@@ -204,7 +197,7 @@ class BFEngine:
 
     def family(self, n: int) -> list[Formula]:
         cfg = self.config
-        return family_stack(self.s.signature, self.omega, n, cfg.family_size, cfg.term_depth)
+        return family_stack(self.s.signature, SumWeakModulus(), n, cfg.family_size, cfg.term_depth)
 
     def _formula_rows(
         self, members: list[Formula], tuples: list[tuple[str, ...]], values: dict[Fraction, int]
@@ -294,7 +287,7 @@ class BFEngine:
 
     def window(self, n: int) -> int:
         """Highest stage available at arity n."""
-        return min(self.cap - n, self.config.stage_cap)
+        return self.cap - n
 
     def table(self, n: int, stage: int) -> np.ndarray:
         """Stage table at arity n, as codes into ``codebook``."""
@@ -361,11 +354,8 @@ class BFEngine:
     def scott_rank(self) -> RankReport:
         self._build()
         max_arity = min(self.config.max_arity, self.cap - 1)
-        checkable = min(
-            self.config.stage_cap - 1, self.cap - max_arity - 1
-        )
-        if max_arity < 1 or checkable < 0:
-            checkable = -1  # no (arity, stage) pair to compare
+        # no (arity, stage) pair to compare when no arity fits below the cap
+        checkable = self.cap - max_arity - 1 if max_arity >= 1 else -1
         stable: dict[tuple[int, int], bool] = {}
         rank: int | None = None
         for alpha in range(checkable + 1):
@@ -400,19 +390,20 @@ class BFEngine:
 
         Arity n at stage k reads only arity n+1 at stage k-1 and the iterates
         only grow, so an arity is recomputed only when the one above it grew;
-        the top arity is fixed at stage 0, so closure comes by stage ``cap``.
+        the top arity is fixed at stage 0, so arity n grows at no stage past
+        ``cap - n`` and closure comes by stage ``cap``.
         """
         q = Fraction(q)
         if q <= 0:
             raise ValueError("the threshold must be a positive rational")
         self._build()
         current = {n: self._threshold(n, 0, q) for n in range(1, self.cap + 1)}
-        dtype = np.min_scalar_type(-1 - self.config.stage_cap)
+        dtype = np.min_scalar_type(-1 - self.cap)
         entry = {n: np.subtract(x, 1, dtype=dtype) for n, x in current.items()}
         sizes = [{n: int(np.count_nonzero(x)) for n, x in current.items()}]
         grown = [n for n, c in sizes[0].items() if c]
         k = 0
-        while grown and k < self.config.stage_cap:
+        while grown:
             k += 1
             sizes.append(dict(sizes[-1]))
             below, grown = [n - 1 for n in grown if n > 1], []
@@ -429,14 +420,14 @@ class BFEngine:
             q=q,
             entry=entry,
             stage_sizes=sizes,
-            closed=not grown,
-            closure_stage=None if grown else k,
+            closed=True,
+            closure_stage=k,
             meta=self.config.meta(self.cap) | {"structure": self.s.name, "q": format_rational(q)},
         )
 
     def r_entry_stages(self, q: Fraction, n: int) -> np.ndarray:
         """Least stage alpha within the window with r_alpha > q, else -1."""
-        out = np.full(self.table(n, 0).shape, -1, np.min_scalar_type(-1 - self.config.stage_cap))
+        out = np.full(self.table(n, 0).shape, -1, np.min_scalar_type(-1 - self.cap))
         # Compared value by value, not through ``_threshold``, so that
         # ``oracle_equivalence`` checks the fixpoint against its own reading.
         above = np.array([v > q for v in self._codebook], dtype=bool)

@@ -3,8 +3,9 @@
 A pre-structure is a finite point set with a rational metric table in
 [0,1] plus total interpretation tables for every signature symbol.
 Validation checks every axiom exhaustively and exactly: metric axioms,
-value ranges, table totality, and that each relation and function
-respects its declared modulus on all tuple pairs.
+value ranges, that each table holds exactly the tuples of its symbol's
+arity over the points, and that each relation and function respects
+its declared modulus on all tuple pairs.
 
 File format (versioned header ``mscott/1``, ``#`` comments)::
 
@@ -146,7 +147,7 @@ def _violations(s: PreStructure) -> Iterator[Violation]:
                 (p, q, r),
             )
 
-    # relations: totality, range, modulus respect
+    # relations: totality, domain, range, modulus respect
     for rel in s.signature.relations:
         table = s.relations.get(rel.name)
         if table is None:
@@ -154,6 +155,7 @@ def _violations(s: PreStructure) -> Iterator[Violation]:
             continue
         ok = True
         tuples = list(product(pts, repeat=rel.arity))
+        yield from _outside_domain("relation", rel.name, rel.arity, table, tuples)
         for t in tuples:
             v = table.get(t)
             if v is None:
@@ -177,13 +179,14 @@ def _violations(s: PreStructure) -> Iterator[Violation]:
                     ta + tb,
                 )
 
-    # functions: totality, closure, modulus respect
+    # functions: totality, domain, closure, modulus respect
     for fn in s.signature.functions:
         table = s.functions.get(fn.name)
         if table is None:
             yield Violation("function-total", f"no table for function {fn.name}")
             continue
         tuples = list(product(pts, repeat=fn.arity))
+        yield from _outside_domain("function", fn.name, fn.arity, table, tuples)
         ok = True
         for t in tuples:
             v = table.get(t)
@@ -213,6 +216,17 @@ def _violations(s: PreStructure) -> Iterator[Violation]:
             yield Violation("constant-total", f"constant {c} unassigned")
         elif v not in pts:
             yield Violation("constant-range", f"constant {c} = {v!r} is not a point")
+
+
+def _outside_domain(kind: str, name: str, arity: int, table: dict,
+                    tuples: list[tuple[str, ...]]) -> Iterator[Violation]:
+    """A violation per table row that is not one of ``tuples``: a wrong
+    length, or a name that is not a point."""
+    domain = set(tuples)
+    for t in table:
+        if t not in domain:
+            yield Violation(f"{kind}-domain",
+                            f"{name}{t} is not a {arity}-tuple of points", t)
 
 
 # ---------------------------------------------------------------------------

@@ -344,8 +344,9 @@ def test_fixpoint_tiny_thresholds_exact():
         ["dense-family", "--arity", "1", "--count", "-5"],
         ["scott-rank", str(DATA / "three_point.ms"), "--max-arity", "0", "--table-cap", "1"],
         ["fixpoint", str(DATA / "three_point.ms"), "--q", "1/10", "--max-arity", "0"],
-        ["scott-rank", str(DATA / "three_point.ms"), "--stage-cap", "0"],
-        ["fixpoint", str(DATA / "three_point.ms"), "--q", "1/10", "--stage-cap", "-1"],
+        # the table cap is the only window option; a stage cap is no option at all
+        ["scott-rank", str(DATA / "two_point.ms"), "--stage-cap", "1"],
+        ["fixpoint", str(DATA / "three_point.ms"), "--q", "1/10", "--stage-cap", "1"],
         ["fixpoint", str(DATA / "three_point.ms"), "--q", "1/10", "--limit", "-3"],
         ["fixpoint", str(DATA / "three_point.ms"), "--q", "1/10", "--table-cap", "0"],
         ["scott-rank", str(DATA / "three_point.ms"), "--table-cap", "-3"],

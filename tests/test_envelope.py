@@ -276,16 +276,16 @@ def test_induced_rejects_zero_atomic():
 
 
 def test_exact_induced_linear_cases():
-    assert induced_modulus_exact([(F(1), F(1))], OMEGA) == Linear((F(1),))
-    assert induced_modulus_exact([(F(2),)], OMEGA) == Linear((F(1, 2),))
-    two = induced_modulus_exact([(F(1), F(1)), (F(1), F(1))], OMEGA)
+    assert induced_modulus_exact([(F(1), F(1))]) == Linear((F(1),))
+    assert induced_modulus_exact([(F(2),)]) == Linear((F(1, 2),))
+    two = induced_modulus_exact([(F(1), F(1)), (F(1), F(1))])
     assert isinstance(two, PolyhedralMax)
     assert two((F(1, 4), F(3, 4))) == F(3, 4)
 
 
 def test_exact_induced_agrees_with_grid_pipeline():
     rows = [(F(1), F(1))]
-    exact = induced_modulus_exact(rows, OMEGA)
+    exact = induced_modulus_exact(rows)
     grid = induced_connective_modulus([Linear(rows[0])], OMEGA, 8, RatGrid(2, F(1, 8), F(1)))
     for r in RatGrid(1, F(1, 8), F(2)).axis():
         assert exact((r,)) == grid((r,))
@@ -294,7 +294,7 @@ def test_exact_induced_agrees_with_grid_pipeline():
 def test_exact_induced_disjoint_pairs():
     # constraints on disjoint variables add up
     rows = [(F(1), F(1), F(0), F(0)), (F(0), F(0), F(1), F(1))]
-    ind = induced_modulus_exact(rows, OMEGA)
+    ind = induced_modulus_exact(rows)
     assert ind((F(1, 4), F(1, 2))) == F(3, 4)
 
 
@@ -305,6 +305,6 @@ def test_exact_induced_shared_variable_triangle():
         (F(1), F(0), F(1)),
         (F(0), F(1), F(1)),
     ]
-    ind = induced_modulus_exact(rows, OMEGA)
+    ind = induced_modulus_exact(rows)
     assert ind((F(1), F(1), F(1))) == F(3, 2)
     assert ind((F(1), F(0), F(0))) == F(1)

@@ -348,7 +348,7 @@ def gamma_fixpoint_oracle(engine, q):
     """Independent threshold-operator implementation: explicit sets of
     equal-length pairs and literal quantifier loops.  Returns the entry
     stages, the per-stage member counts, the closed flag and the closure
-    stage."""
+    stage, looking no further than stage ``cap``."""
     pts = engine.s.points
     arities = range(1, engine.cap + 1)
     pairs = {n: [(a, b) for a in engine.tuples(n) for b in engine.tuples(n)] for n in arities}
@@ -358,7 +358,7 @@ def gamma_fixpoint_oracle(engine, q):
     entry: dict = {n: {} for n in arities}
     current: dict = {n: set() for n in arities}
     sizes = []
-    for k in range(engine.config.stage_cap + 1):
+    for k in range(engine.cap + 1):
         new = {}
         for n in arities:
             members = set(base[n])
@@ -394,7 +394,7 @@ def assert_gamma_matches_oracle(eng, q):
     entry, sizes, closed, closure_stage = gamma_fixpoint_oracle(eng, q)
     for n in range(1, eng.cap + 1):
         info = np.iinfo(trace.entry[n].dtype)
-        assert info.min <= -1 and info.max >= eng.config.stage_cap
+        assert info.min <= -1 and info.max >= eng.cap
         tuples = eng.tuples(n)
         for i, a in enumerate(tuples):
             for j, b in enumerate(tuples):
@@ -408,7 +408,7 @@ def assert_gamma_matches_oracle(eng, q):
 
 
 def test_gamma_matches_independent_oracle(three_point):
-    eng = BFEngine(three_point, config=EngineConfig(family_size=120, max_arity=1, table_cap=2, stage_cap=4))
+    eng = BFEngine(three_point, config=EngineConfig(family_size=120, max_arity=1, table_cap=2))
     for q in (F(1, 10), F(1, 4), F(1, 2), F(3, 2**36 + 1), F(1, 2**70)):
         assert_gamma_matches_oracle(eng, q)
 
@@ -418,19 +418,15 @@ def test_gamma_matches_independent_oracle(three_point):
 CHAIN_MS = "mscott/1\n[signature]\n[points]\np0 p1 p2\n[metric]\n5/8\n7/8 17/32\n"
 
 
-@pytest.mark.parametrize("name, stage_cap", [
-    ("three_point", 0), ("three_point", 1), ("three_point", 8), ("three_point", 200),
-    ("rel_demo", 8), ("square", 8), ("chain", 8),
-])
-def test_gamma_every_field_matches_oracle(data_dir, name, stage_cap):
+@pytest.mark.parametrize("name", ["three_point", "rel_demo", "square", "chain"])
+def test_gamma_every_field_matches_oracle(data_dir, name):
     if name == "chain":
         s = loads_structure(CHAIN_MS, name=name)
     else:
         s = load_structure(data_dir / f"{name}.ms")
-    eng = BFEngine(s, config=EngineConfig(family_size=60, max_arity=2, table_cap=3, stage_cap=stage_cap))
+    eng = BFEngine(s, config=EngineConfig(family_size=60, max_arity=2, table_cap=3))
     for q in (F(1, 10), F(1, 4)):
         trace = assert_gamma_matches_oracle(eng, q)
-        assert len(trace.stage_sizes) <= stage_cap + 1
         # arity n enters at stage k only if n + k entered at stage 0, so every
         # entry stage lies in the window and the oracle reads it unmasked
         assert all((trace.entry[n] <= eng.window(n)).all() for n in range(1, eng.cap + 1))
@@ -447,6 +443,45 @@ def test_gamma_stage_sizes_monotone_until_closure(three_engine):
         assert prev <= nxt
     assert trace.closed
     assert totals[trace.closure_stage] == totals[trace.closure_stage - 1]
+
+
+@pytest.fixture(scope="module")
+def window_engines(data_dir, corpus):
+    """Engines over every data structure and the corpus at table caps 1 to
+    4 whose top arity holds at most 2000 tuples (line9, at 9 points, stops
+    at cap 3); at cap 1 no stage pair fits."""
+    structures = [load_structure(p) for p in sorted(data_dir.glob("*.ms"))] + corpus
+    return [
+        BFEngine(s, config=EngineConfig(family_size=30, max_arity=2, table_cap=cap))
+        for s in structures
+        for cap in range(1, 5)
+        if len(s.points) ** cap <= 2000
+    ]
+
+
+def test_fixpoint_closes_within_the_window(window_engines):
+    # The top arity is fixed at stage 0 and arity n grows only after n + 1
+    # did, so the fixpoint closes by stage cap at any threshold: below,
+    # inside and above the codebook.
+    for eng in window_engines:
+        book = eng.codebook
+        inside = [v for v in book if v > 0]
+        below = inside[0] / 2 if inside else F(1, 2)
+        for q in [below, *inside[len(inside) // 2 :][:1], book[-1] + 1]:
+            trace = eng.gamma_fixpoint(q)
+            assert trace.closed and trace.closure_stage <= eng.cap, (eng.s.name, eng.cap, q)
+            assert len(trace.stage_sizes) == trace.closure_stage + 1
+            assert eng.oracle_equivalence(q).ok, (eng.s.name, eng.cap, q)
+
+
+def test_rank_checks_every_stage_pair_of_the_window(window_engines):
+    for eng in window_engines:
+        report = eng.scott_rank()
+        top = min(eng.config.max_arity, eng.cap - 1)
+        # stage checkable + 1 at the top arity is the window's edge
+        want = eng.cap - top - 1 if top >= 1 else -1
+        assert report.checkable_stages == want, (eng.s.name, eng.cap)
+        assert set(report.stable) == {(n, a) for n in range(1, top + 1) for a in range(want + 1)}
 
 
 def test_wide_denominator_matches_fraction_bruteforce():

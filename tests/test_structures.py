@@ -81,6 +81,38 @@ r r
     assert any(v.kind == "function-modulus" for v in err.value.violations)
 
 
+def test_rows_outside_the_domain_rejected():
+    # a row naming no point, and a row of the wrong length, in each table;
+    # the in-domain rows are total and respect the moduli
+    text = """mscott/1
+[signature]
+rel R 1 linear(1)
+fun f 1 linear(1)
+[points]
+x y
+[metric]
+1
+[rel R]
+x 1/2
+y 1/2
+q 1
+x y 3
+[fun f]
+x y
+y x
+q x
+x y x
+"""
+    with pytest.raises(StructureInvalid) as err:
+        loads_structure(text)
+    got = [(v.kind, v.witness) for v in err.value.violations]
+    assert got == [
+        ("relation-domain", ("q",)), ("relation-domain", ("x", "y")),
+        ("function-domain", ("q",)), ("function-domain", ("x", "y")),
+    ]
+    assert str(err.value.violations[0]) == "relation-domain: R('q',) is not a 1-tuple of points"
+
+
 def test_symmetry_violation_in_memory():
     s = PreStructure(
         signature=Signature(),
