@@ -466,8 +466,8 @@ def test_fixpoint_closes_within_the_window(window_engines):
     for eng in window_engines:
         book = eng.codebook
         inside = [v for v in book if v > 0]
-        below = inside[0] / 2 if inside else F(1, 2)
-        for q in [below, *inside[len(inside) // 2 :][:1], book[-1] + 1]:
+        qs = [inside[0] / 2, inside[len(inside) // 2]] if inside else [F(1, 2)]
+        for q in qs + [book[-1] + 1]:
             trace = eng.gamma_fixpoint(q)
             assert trace.closed and trace.closure_stage <= eng.cap, (eng.s.name, eng.cap, q)
             assert len(trace.stage_sizes) == trace.closure_stage + 1
