@@ -295,7 +295,8 @@ def cmd_ralpha(structure: str, stage: int, arity: int, family: int, as_json: boo
 @click.option("--json", "as_json", is_flag=True)
 def cmd_scott_rank(structure: str, max_arity: int, family: int, table_cap: int | None,
                    as_json: bool) -> None:
-    """Least stage at which the computed stage tables stabilize."""
+    """Least stage from which every checked stage pair of the window is
+    stable (no rank when the last checked pair is unstable)."""
     s = _load(structure)
     engine = BFEngine(s, config=EngineConfig(family_size=family, max_arity=max_arity,
                                              table_cap=table_cap))

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .structures import PreStructure
 from .syntax import (
+    METRIC_SYMBOL,
     Atomic,
     ConstF,
     ConstTerm,
@@ -58,7 +59,7 @@ class Evaluator:
     def formula(self, phi: Formula, env: Env) -> Fraction:
         if isinstance(phi, Atomic):
             pts = tuple(self.term(t, env) for t in phi.args)
-            if phi.relation == "d":
+            if phi.relation == METRIC_SYMBOL:
                 return self.s.metric[pts]
             return self.s.relations[phi.relation][pts]
         if isinstance(phi, ConstF):

@@ -55,6 +55,7 @@ from .parser import print_formula, print_term
 from .rationals import ONE, ZERO, RatGrid, Vec, format_vec, require_unit, vec_sub
 from .segments import make_segment
 from .syntax import (
+    METRIC_SYMBOL,
     Apply,
     Atomic,
     ConstF,
@@ -69,12 +70,11 @@ from .syntax import (
     basic_atomics,
     canonical_modulus,
     eval_connective,
-    formula_free_vars,
     is_basic,
+    span_arity,
     term_size,
 )
 
-METRIC = "d"
 MAX_TUPLE_LEN = 3  # atomics per connective
 
 
@@ -100,11 +100,6 @@ def _term_key(t: Term) -> tuple:
     return (term_size(t), print_term(t))
 
 
-def _max_var(atom: Atomic) -> int:
-    fv = formula_free_vars(atom)
-    return max(fv) if fv else -1
-
-
 def atomic_pool(sig: Signature, arity: int, term_depth: int = 1) -> list[Atomic]:
     """Atomic formulas in v0..v_{arity-1}, zero-modulus atomics dropped,
     metric atomics in one canonical orientation, new-variable-last order."""
@@ -112,17 +107,17 @@ def atomic_pool(sig: Signature, arity: int, term_depth: int = 1) -> list[Atomic]
     atoms: list[Atomic] = []
     for i, t1 in enumerate(terms):
         for t2 in terms[i:]:
-            atoms.append(Atomic(METRIC, (t1, t2)))
+            atoms.append(Atomic(METRIC_SYMBOL, (t1, t2)))
     for r in sig.relations:
         for args in product(terms, repeat=r.arity):
             atoms.append(Atomic(r.name, tuple(args)))
     pool = [a for a in dict.fromkeys(atoms)
             if not is_zero_modulus(canonical_modulus(a, sig, arity))]
     rel_rank = {r.name: i + 1 for i, r in enumerate(sig.relations)}
-    rel_rank[METRIC] = 0
+    rel_rank[METRIC_SYMBOL] = 0
     pool.sort(
         key=lambda a: (
-            _max_var(a),
+            span_arity(a),
             sum(term_size(t) for t in a.args),
             rel_rank[a.relation],
             print_formula(a),
@@ -326,8 +321,6 @@ class RespectReport:
     respects: bool
     witness: tuple[Vec, Vec] | None
     gap: Fraction | None  # |u(z) - u(w)| - bound at the witness
-    step: Fraction
-    k_max: int
     reduced_atomics: int
 
     def __bool__(self) -> bool:
@@ -351,15 +344,14 @@ def respects_weak_modulus(
     if not is_basic(phi):
         raise ValueError("the respects-check applies to basic formulas")
     step = Fraction(step)
-    fv = formula_free_vars(phi)
-    n = (max(fv) + 1) if fv else 1
+    n = max(1, span_arity(phi))
     pinned: dict[Atomic, Fraction] = {}
     kept: list[Atomic] = []
     deltas: list[Modulus] = []
     for a in basic_atomics(phi):
         m = canonical_modulus(a, signature, n)
         if is_zero_modulus(m):
-            if a.relation == METRIC and a.args[0] == a.args[1]:
+            if a.relation == METRIC_SYMBOL and a.args[0] == a.args[1]:
                 pinned[a] = ZERO
             else:
                 raise ValueError(
@@ -370,25 +362,16 @@ def respects_weak_modulus(
             kept.append(a)
             deltas.append(m)
     if not kept:
-        return RespectReport(True, None, None, step, k_max, len(pinned))
-    k = len(kept)
-    n_grid = RatGrid(n, step, ONE)
-    induced = induced_connective_modulus(deltas, omega, k_max, n_grid)
-    check = RatGrid(k, step, ONE)
-    pts = list(check.points())
-    uvals = {z: eval_connective(phi, pinned | dict(zip(kept, z))) for z in pts}
-    bound_cache: dict[Vec, Fraction] = {}
-    for z in pts:
-        for w in pts:
-            dv = pi_fold(vec_sub(z, w))
-            bound = bound_cache.get(dv)
-            if bound is None:
-                bound = induced(dv)
-                bound_cache[dv] = bound
-            gap = abs(uvals[z] - uvals[w])
-            if gap > bound:
-                return RespectReport(False, (z, w), gap - bound, step, k_max, len(pinned))
-    return RespectReport(True, None, None, step, k_max, len(pinned))
+        return RespectReport(True, None, None, len(pinned))
+    induced = induced_connective_modulus(deltas, omega, k_max, RatGrid(n, step, ONE))
+    uvals = {z: eval_connective(phi, pinned | dict(zip(kept, z)))
+             for z in RatGrid(len(kept), step, ONE).points()}
+    bad = _respect_violation(uvals, induced)
+    if bad is None:
+        return RespectReport(True, None, None, len(pinned))
+    z, w = bad
+    gap = abs(uvals[z] - uvals[w]) - induced(pi_fold(vec_sub(z, w)))
+    return RespectReport(False, bad, gap, len(pinned))
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +390,15 @@ class ApproximationResult:
 def _respect_violation(
     u: Mapping[Vec, Fraction], delta: Modulus
 ) -> tuple[Vec, Vec] | None:
-    pts = list(u)
-    for p in pts:
-        for q in pts:
-            if abs(u[p] - u[q]) > delta(pi_fold(vec_sub(p, q))):
+    """The first pair (p, q) of sample points, in the mapping's order, with
+    |u(p) - u(q)| > delta(pi(p - q)); delta is evaluated once per difference."""
+    bounds: dict[Vec, Fraction] = {}
+    for p in u:
+        for q in u:
+            dv = pi_fold(vec_sub(p, q))
+            if dv not in bounds:
+                bounds[dv] = delta(dv)
+            if abs(u[p] - u[q]) > bounds[dv]:
                 return p, q
     return None
 

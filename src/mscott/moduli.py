@@ -109,6 +109,15 @@ class CappedLinear(Modulus):
         return min(self.cap, sum((c * x for c, x in zip(self.coeffs, xs)), ZERO))
 
 
+def interpolate(points: Sequence[tuple[Fraction, Fraction]], t: Fraction) -> Fraction:
+    """The piecewise-linear map through ``points`` (abscissae increasing)
+    at t; past the last point the last piece continues."""
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        if t <= x1:
+            break
+    return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
+
+
 @dataclass(frozen=True)
 class PiecewiseConcave(Modulus):
     """A 1-d nondecreasing concave piecewise-linear map applied to sum_i c_i x_i.
@@ -154,20 +163,8 @@ class PiecewiseConcave(Modulus):
         (x0, y0), (x1, y1) = self.breakpoints[0], self.breakpoints[1]
         return (y1 - y0) / (x1 - x0)
 
-    def _eval_1d(self, t: Fraction) -> Fraction:
-        bps = self.breakpoints
-        if t <= 0:
-            return ZERO
-        for (x0, y0), (x1, y1) in zip(bps, bps[1:]):
-            if t <= x1:
-                return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
-        xl, yl = bps[-1]
-        x0, y0 = bps[-2]
-        slope = (yl - y0) / (xl - x0)
-        return yl + slope * (t - xl)
-
     def _eval(self, xs: Vec) -> Fraction:
-        return self._eval_1d(sum((c * x for c, x in zip(self.coeffs, xs)), ZERO))
+        return interpolate(self.breakpoints, sum((c * x for c, x in zip(self.coeffs, xs)), ZERO))
 
 
 @dataclass(frozen=True)
@@ -379,7 +376,6 @@ class ModulusFailure:
 @dataclass(frozen=True)
 class ModulusCheckReport:
     passed: bool
-    grid: RatGrid
     failures: tuple[ModulusFailure, ...]
 
     def first(self) -> ModulusFailure | None:
@@ -423,7 +419,7 @@ def check_modulus(m: Modulus, grid: RatGrid, max_failures: int = 5) -> ModulusCh
                 failures.append(ModulusFailure("subadditive", r, s, vt, vr + vs))
             if len(failures) >= max_failures:
                 break
-    return ModulusCheckReport(not failures, grid, tuple(failures))
+    return ModulusCheckReport(not failures, tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -512,9 +508,6 @@ class EnvelopeTable(Modulus):
         n = self.arity
         return tuple(self.k_max * max(p[j] for p, _ in self.samples) for j in range(n))
 
-    def sample_points(self) -> tuple[Vec, ...]:
-        return tuple(p for p, _ in self.samples)
-
     # -- arity 1: uniform refinement + interpolation
 
     def _axis_table(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -600,8 +593,7 @@ class EnvelopeTable(Modulus):
 
     def table(self) -> tuple[tuple[Vec, Fraction], ...]:
         """Envelope values at the sample points, sorted."""
-        pts = sorted(self.sample_points())
-        return tuple((p, self(p)) for p in pts)
+        return tuple((p, self(p)) for p in sorted(p for p, _ in self.samples))
 
 
 def largest_modulus_below(
@@ -784,8 +776,6 @@ def induced_modulus_exact(rows: Sequence[Vec]) -> Modulus:
         for v in verts
         if not any(w != v and vec_le(v, w) for w in verts)
     ]
-    if not kept:
-        kept = [(ZERO,) * k]
     if len(kept) == 1:
         return simplify_modulus(Linear(kept[0]))
     return PolyhedralMax(tuple(kept))

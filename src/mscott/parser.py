@@ -47,15 +47,14 @@ from .syntax import (
     ConstF,
     ConstTerm,
     Formula,
-    FunctionSymbol,
     Inf,
     MaxF,
     MinF,
     PwlF,
-    RelationSymbol,
     SegF,
     Signature,
     Sup,
+    Symbol,
     Term,
     Var,
 )
@@ -441,13 +440,13 @@ def parse_modulus(text: str, expected_arity: int | None = None) -> Modulus:
 
 def parse_declarations(
     lines: Iterable[tuple[int, str]],
-) -> tuple[tuple[RelationSymbol, ...], tuple[FunctionSymbol, ...], tuple[str, ...]]:
+) -> tuple[tuple[Symbol, ...], tuple[Symbol, ...], tuple[str, ...]]:
     """The symbols of a ``[signature]`` block, from (line number, text) pairs
     of the form ``rel NAME ARITY MOD``, ``fun NAME ARITY MOD`` or
     ``const NAME``.  A ParseError names the line and, for a bad modulus,
     the column of the offending token within the line."""
-    relations: list[RelationSymbol] = []
-    functions: list[FunctionSymbol] = []
+    relations: list[Symbol] = []
+    functions: list[Symbol] = []
     constants: list[str] = []
     for no, text in lines:
         col = len(text) - len(text.lstrip()) + 1
@@ -466,10 +465,7 @@ def parse_declarations(
                 raise ParseError(
                     f"modulus arity {m.arity} does not match symbol arity {arity}", no, col
                 )
-            if w[0] == "rel":
-                relations.append(RelationSymbol(w[1], arity, m))
-            else:
-                functions.append(FunctionSymbol(w[1], arity, m))
+            (relations if w[0] == "rel" else functions).append(Symbol(w[1], arity, m))
         elif w[0] == "const" and len(w) == 2:
             constants.append(w[1])
         else:

@@ -352,6 +352,9 @@ class BFEngine:
     # -- Scott rank -------------------------------------------------------
 
     def scott_rank(self) -> RankReport:
+        """The rank is the first stage alpha from which every checked pair
+        (n, beta >= alpha) is stable: where the stable suffix of the window
+        starts.  There is none when the last checked stage is unstable."""
         self._build()
         max_arity = min(self.config.max_arity, self.cap - 1)
         # no (arity, stage) pair to compare when no arity fits below the cap
@@ -364,7 +367,9 @@ class BFEngine:
                 eq = bool(np.array_equal(self.table(n, alpha), self.table(n, alpha + 1)))
                 stable[(n, alpha)] = eq
                 all_stable = all_stable and eq
-            if all_stable and rank is None:
+            if not all_stable:
+                rank = None
+            elif rank is None:
                 rank = alpha
         return RankReport(
             rank=rank,

@@ -39,7 +39,7 @@ from typing import Iterator
 
 from .parser import ParseError, parse_declarations, print_modulus
 from .rationals import ZERO, format_rational, parse_rational
-from .syntax import FunctionSymbol, RelationSymbol, Signature
+from .syntax import Signature, Symbol
 
 
 @dataclass(frozen=True)
@@ -272,8 +272,8 @@ def parse_structure(text: str, name: str = "") -> PreStructure:
             i += 1
         sections.append((no, head, inline, body))
 
-    relations: tuple[RelationSymbol, ...] = ()
-    functions: tuple[FunctionSymbol, ...] = ()
+    relations: tuple[Symbol, ...] = ()
+    functions: tuple[Symbol, ...] = ()
     constants: tuple[str, ...] = ()
     points: tuple[str, ...] = ()
     lower: list[list[Fraction]] = []

@@ -37,6 +37,7 @@ from .moduli import (
     Linear,
     Modulus,
     Zero,
+    interpolate,
     projection,
     simplify_modulus,
 )
@@ -48,14 +49,9 @@ _VAR_RE = re.compile(r"^v(\d+)$")
 
 
 @dataclass(frozen=True)
-class RelationSymbol:
-    name: str
-    arity: int
-    modulus: Modulus
+class Symbol:
+    """A relation or function symbol with its modulus."""
 
-
-@dataclass(frozen=True)
-class FunctionSymbol:
     name: str
     arity: int
     modulus: Modulus
@@ -66,8 +62,8 @@ class Signature:
     """Relation/function/constant symbols with their moduli.  The metric
     symbol ``d`` is always present implicitly, with modulus Linear(1,1)."""
 
-    relations: tuple[RelationSymbol, ...] = ()
-    functions: tuple[FunctionSymbol, ...] = ()
+    relations: tuple[Symbol, ...] = ()
+    functions: tuple[Symbol, ...] = ()
     constants: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -89,7 +85,7 @@ class Signature:
                 raise ValueError(f"symbol name {n!r} collides with variable syntax")
             seen.add(n)
 
-    def relation(self, name: str) -> RelationSymbol:
+    def relation(self, name: str) -> Symbol:
         if name == METRIC_SYMBOL:
             return METRIC_RELATION
         for r in self.relations:
@@ -97,7 +93,7 @@ class Signature:
                 return r
         raise KeyError(f"unknown relation symbol {name!r}")
 
-    def function(self, name: str) -> FunctionSymbol:
+    def function(self, name: str) -> Symbol:
         for f in self.functions:
             if f.name == name:
                 return f
@@ -107,7 +103,7 @@ class Signature:
         return name in self.constants
 
 
-METRIC_RELATION = RelationSymbol(METRIC_SYMBOL, 2, Linear((ONE, ONE)))
+METRIC_RELATION = Symbol(METRIC_SYMBOL, 2, Linear((ONE, ONE)))
 
 EMPTY_SIGNATURE = Signature()
 
@@ -157,7 +153,7 @@ def term_size(t: Term) -> int:
 
 @dataclass(frozen=True)
 class Atomic:
-    relation: str  # relation symbol name, or "d"
+    relation: str  # relation symbol name, or METRIC_SYMBOL
     args: tuple[Term, ...]
 
 
@@ -202,10 +198,7 @@ class PwlF:
             require_unit(y, "pwl value")
 
     def apply(self, t: Fraction) -> Fraction:
-        for (x0, y0), (x1, y1) in zip(self.breakpoints, self.breakpoints[1:]):
-            if t <= x1:
-                return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
-        return self.breakpoints[-1][1]
+        return interpolate(self.breakpoints, t)
 
     def lipschitz(self) -> Fraction:
         return max(
@@ -281,7 +274,8 @@ def subformulas(phi: Formula) -> Iterator[Formula]:
 # ---------------------------------------------------------------------------
 
 
-def _span_arity(x: Term | Formula) -> int:
+def span_arity(x: Term | Formula) -> int:
+    """One past the largest free variable index (0 when none is free)."""
     fv = term_free_vars(x) if isinstance(x, (Var, ConstTerm, Apply)) else formula_free_vars(x)
     return (max(fv) + 1) if fv else 0
 
@@ -302,7 +296,7 @@ def canonical_modulus(x: Term | Formula, sig: Signature, n: int | None = None) -
     """Modulus over the first n variable coordinates that the interpretation
     of ``x`` respects in every structure (n defaults to the free span)."""
     if n is None:
-        n = _span_arity(x)
+        n = span_arity(x)
     if isinstance(x, (Var, ConstTerm, Apply)):
         return canonical_term_modulus(x, sig, n)
     phi = x
@@ -328,8 +322,7 @@ def canonical_modulus(x: Term | Formula, sig: Signature, n: int | None = None) -
         capped = Compose(CappedLinear(ONE, (ONE,)), (phi.segment.delta,))
         return simplify_modulus(Compose(capped, inners))
     if isinstance(phi, (Sup, Inf)):
-        fv = formula_free_vars(phi.body)
-        m = max(n, phi.var + 1, (max(fv) + 1) if fv else 0)
+        m = max(n, phi.var + 1, span_arity(phi.body))
         body = canonical_modulus(phi.body, sig, m)
         # Zero the quantified coordinate (and any coordinate beyond the
         # requested frame), then view the result in the n-coordinate frame.

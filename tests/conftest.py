@@ -8,7 +8,7 @@ import pytest
 from mscott.moduli import Linear
 from mscott.rationals import lcm_denominator
 from mscott.structures import PreStructure, build_metric, validate
-from mscott.syntax import RelationSymbol, Signature
+from mscott.syntax import Signature, Symbol
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -75,7 +75,7 @@ def random_structure(rng: random.Random, n_points: int, with_relation: bool = Fa
     signature = Signature()
     relations = {}
     if with_relation:
-        signature = Signature(relations=(RelationSymbol("R", 1, Linear((F(1),))),))
+        signature = Signature(relations=(Symbol("R", 1, Linear((F(1),))),))
         relations = {"R": {(p,): metric[(p, points[0])] / 2 for p in points}}
     s = PreStructure(
         signature=signature,

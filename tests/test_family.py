@@ -17,8 +17,8 @@ from mscott.syntax import (
     Atomic,
     ConstF,
     EMPTY_SIGNATURE,
-    RelationSymbol,
     Signature,
+    Symbol,
     formula_free_vars,
     is_basic,
     subformulas,
@@ -144,7 +144,7 @@ def test_emitted_formulas_pass_respects_check():
 
 
 def test_family_with_relation_signature():
-    sig = Signature(relations=(RelationSymbol("R", 1, Linear((F(1),))),))
+    sig = Signature(relations=(Symbol("R", 1, Linear((F(1),))),))
     fam = enumerate_family(sig, OMEGA, 1, 20)
     used = set().union(*(atoms_of(phi) for phi in fam))
     assert "R(v0)" in used
@@ -153,7 +153,7 @@ def test_family_with_relation_signature():
 
 
 def test_family_with_binary_relation():
-    sig = Signature(relations=(RelationSymbol("E", 2, Linear((F(1), F(1)))),))
+    sig = Signature(relations=(Symbol("E", 2, Linear((F(1), F(1)))),))
     pool = atomic_pool(sig, 2)
     names = {print_formula(a) for a in pool}
     assert {"d(v0, v1)", "E(v0, v1)", "E(v1, v0)", "E(v0, v0)", "E(v1, v1)"} <= names
@@ -172,9 +172,9 @@ def test_respects_check_identity_and_violations():
         step=F(1, 8),
     )
     assert not bad.respects
-    z, w = bad.witness
-    assert abs(z[0] - w[0]) < F(1, 3)  # steep region witnesses the violation
-    assert bad.gap > 0
+    # the first pair of the scan, in the steep region: |3/8 - 0| - 1/8
+    assert bad.witness == ((F(0),), (F(1, 8),))
+    assert bad.gap == F(1, 4)
 
 
 def test_respects_check_constants_and_reduction():
@@ -193,9 +193,10 @@ def test_respects_check_capped_relation_modulus():
     # but halving it brings the composite back inside
     from mscott.moduli import CappedLinear
 
-    sig = Signature(relations=(RelationSymbol("R", 1, CappedLinear(F(1, 2), (F(2),))),))
+    sig = Signature(relations=(Symbol("R", 1, CappedLinear(F(1, 2), (F(2),))),))
     steep = respects_weak_modulus(parse_formula("R(v0)", sig), sig, OMEGA, step=F(1, 8))
-    assert not steep.respects and steep.witness is not None
+    assert not steep.respects
+    assert steep.witness == ((F(0),), (F(1, 8),)) and steep.gap == F(1, 16)
     halved = respects_weak_modulus(
         parse_formula("pwl((0,0),(1,1/2); R(v0))", sig), sig, OMEGA, step=F(1, 8)
     )
@@ -243,4 +244,5 @@ def test_respects_check_two_dimensional():
         "seg(linear(2,2); (0,0); (1/4,1/4); 0; 1; d(v0, v1), d(v1, v2))"
     )
     rep = respects_weak_modulus(steep, EMPTY_SIGNATURE, OMEGA, step=F(1, 4))
-    assert not rep.respects and rep.witness is not None
+    assert not rep.respects
+    assert rep.witness == ((F(0), F(0)), (F(0), F(1, 4))) and rep.gap == F(1, 4)

@@ -131,6 +131,34 @@ def test_simplify_identity_inners():
     assert simplify_modulus(Compose(m, (projection(2, 0), projection(2, 1)))) == m
 
 
+def _agree_on_grid(a, b, step="1/4"):
+    return all(a(p) == b(p) for p in RatGrid(a.arity, F(step), F(1)).points())
+
+
+def test_simplify_collapses_every_outer_form_over_linear_inners():
+    inners = (Linear((F(1), F(2))), Linear((F(3), F(0))))
+    bps = ((F(0), F(0)), (F(1), F(1)), (F(2), F(3, 2)))
+    cases = [
+        (PiecewiseConcave(bps, (F(1), F(1, 2))), PiecewiseConcave(bps, (F(5, 2), F(2)))),
+        (PolyhedralMax(((F(1), F(0)), (F(0), F(2)))),
+         PolyhedralMax(((F(1), F(2)), (F(6), F(0))))),
+    ]
+    for outer, want in cases:
+        m = Compose(outer, inners)
+        assert simplify_modulus(m) == want
+        assert _agree_on_grid(simplify_modulus(m), m)
+
+
+def test_simplify_keeps_what_it_cannot_collapse():
+    # a capped inner has no exact linear row, and MaxOf no collapsed form
+    capped = Compose(Linear((F(2),)), (CappedLinear(F(1, 2), (F(3),)),))
+    maxof = Compose(MaxOf((Linear((F(1),)), Linear((F(2),)))), (Linear((F(1), F(1))),))
+    for m in (capped, maxof):
+        assert simplify_modulus(m) == m
+        assert _agree_on_grid(simplify_modulus(m), m)
+    assert simplify_modulus(Linear((F(0), F(0)))) == Zero(2)
+
+
 def test_zero_detection():
     assert is_zero_modulus(Zero(2))
     assert is_zero_modulus(Linear((F(0), F(0))))

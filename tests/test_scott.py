@@ -154,6 +154,18 @@ def test_three_point_rank_at_least_one(three_point):
     assert report.rank == 1
 
 
+@pytest.mark.parametrize("cap, rank", [(3, 1), (4, None), (5, 3), (6, 3)])
+def test_rank_is_where_the_stable_suffix_starts(three_point, cap, rank):
+    # at arity 1, r_1 = r_2 but r_2 != r_3: the stage pair (1, 2) is unstable,
+    # so stage 1 starts no stable run once the window reaches it
+    eng = BFEngine(three_point, config=EngineConfig(max_arity=1, table_cap=cap))
+    report = eng.scott_rank()
+    assert report.stable[(1, 1)] is True
+    if cap > 3:
+        assert report.stable[(1, 2)] is False
+    assert report.rank == rank and report.definitive == (rank is not None)
+
+
 def test_pseudometric_axioms_all_stages(corpus):
     for s in corpus[:8]:
         eng = BFEngine(s, config=EngineConfig(family_size=120, max_arity=2, table_cap=3))
@@ -238,6 +250,19 @@ def test_oracle_equivalence_three_point(three_engine):
     for q in (F(1, 10), F(1, 4), F(1, 2), F(3, 4)):
         report = three_engine.oracle_equivalence(q)
         assert report.ok, report.mismatches
+
+
+def test_oracle_equivalence_reports_a_corrupted_cell(three_point):
+    # r_1(x, y) > 1/10 = r_0(x, y), so (x, y) enters the fixpoint at stage 1;
+    # zeroing that one stage-1 cell moves its r entry stage to 2
+    eng = BFEngine(three_point, config=EngineConfig(max_arity=2, table_cap=3))
+    assert eng.oracle_equivalence(F(1, 10)).ok
+    assert eng.codebook[0] == 0
+    i, j = eng.tuple_index(("x",)), eng.tuple_index(("y",))
+    eng.table(1, 1)[i, j] = 0
+    report = eng.oracle_equivalence(F(1, 10))
+    assert not report.ok
+    assert report.mismatches == ((1, ("x",), ("y",), 1, 2),)
 
 
 def test_oracle_equivalence_isometric_pairs(two_engine):
@@ -482,6 +507,9 @@ def test_rank_checks_every_stage_pair_of_the_window(window_engines):
         want = eng.cap - top - 1 if top >= 1 else -1
         assert report.checkable_stages == want, (eng.s.name, eng.cap)
         assert set(report.stable) == {(n, a) for n in range(1, top + 1) for a in range(want + 1)}
+        unstable = [a for (_, a), eq in report.stable.items() if not eq]
+        suffix = max(unstable) + 1 if unstable else 0
+        assert report.rank == (suffix if suffix <= want else None), (eng.s.name, eng.cap)
 
 
 def test_wide_denominator_matches_fraction_bruteforce():

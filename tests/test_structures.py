@@ -15,7 +15,7 @@ from mscott.structures import (
     parse_structure,
     validate,
 )
-from mscott.syntax import FunctionSymbol, RelationSymbol, Signature
+from mscott.syntax import Signature, Symbol
 
 
 def test_load_two_point_file(data_dir):
@@ -129,8 +129,8 @@ def test_validate_returns_at_most_max_violations():
     pts = tuple(f"p{i}" for i in range(10))
     lower = [[F(1) if j < i < 5 else F(1, 10) for j in range(i)] for i in range(1, 10)]
     sig = Signature(
-        relations=(RelationSymbol("R", 1, Linear((F(1),))),),
-        functions=(FunctionSymbol("f", 1, Linear((F(1),))),),
+        relations=(Symbol("R", 1, Linear((F(1),))),),
+        functions=(Symbol("f", 1, Linear((F(1),))),),
         constants=("a", "b", "c"),
     )
     s = PreStructure(signature=sig, points=pts, metric=build_metric(pts, lower))
@@ -198,7 +198,7 @@ def test_automorphisms_square(square):
 
 
 def test_automorphisms_respect_relations():
-    sig = Signature(relations=(RelationSymbol("R", 1, Linear((F(1),))),))
+    sig = Signature(relations=(Symbol("R", 1, Linear((F(1),))),))
     metric = build_metric(("p", "q"), [[F(1, 2)]])
     s = PreStructure(
         signature=sig,

@@ -22,8 +22,7 @@ from mscott.syntax import (
     ConstF,
     MinF,
     Signature,
-    RelationSymbol,
-    FunctionSymbol,
+    Symbol,
     Sup,
     Var,
     basic_atomics,
@@ -34,8 +33,8 @@ from mscott.syntax import (
 )
 
 SIG = Signature(
-    relations=(RelationSymbol("R", 1, Linear((F(1),))),),
-    functions=(FunctionSymbol("f", 1, Linear((F(1),))),),
+    relations=(Symbol("R", 1, Linear((F(1),))),),
+    functions=(Symbol("f", 1, Linear((F(1),))),),
     constants=("c",),
 )
 
@@ -139,7 +138,7 @@ def test_term_printing():
 
 def test_signature_rejects_collisions():
     with pytest.raises(ValueError):
-        Signature(relations=(RelationSymbol("d", 1, Linear((F(1),))),))
+        Signature(relations=(Symbol("d", 1, Linear((F(1),))),))
     with pytest.raises(ValueError):
         Signature(constants=("v0",))
     with pytest.raises(ValueError):
@@ -204,8 +203,8 @@ def test_canonical_modulus_composition():
     phi = parse_formula("R(f(f(v0)))", SIG)
     assert canonical_modulus(phi, SIG) == Linear((F(1),))
     sig2 = Signature(
-        relations=(RelationSymbol("S", 1, Linear((F(2),))),),
-        functions=(FunctionSymbol("g", 1, Linear((F(3),))),),
+        relations=(Symbol("S", 1, Linear((F(2),))),),
+        functions=(Symbol("g", 1, Linear((F(3),))),),
     )
     phi2 = parse_formula("S(g(v0))", sig2)
     assert canonical_modulus(phi2, sig2) == Linear((F(6),))
