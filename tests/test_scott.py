@@ -154,15 +154,13 @@ def test_three_point_rank_at_least_one(three_point):
     assert report.rank == 1
 
 
-@pytest.mark.parametrize("cap, rank", [(3, 1), (4, None), (5, 3), (6, 3)])
+@pytest.mark.parametrize("cap, rank", [(4, None), (5, 3), (6, 3)])
 def test_rank_is_where_the_stable_suffix_starts(three_point, cap, rank):
     # at arity 1, r_1 = r_2 but r_2 != r_3: the stage pair (1, 2) is unstable,
     # so stage 1 starts no stable run once the window reaches it
     eng = BFEngine(three_point, config=EngineConfig(max_arity=1, table_cap=cap))
     report = eng.scott_rank()
-    assert report.stable[(1, 1)] is True
-    if cap > 3:
-        assert report.stable[(1, 2)] is False
+    assert report.stable[(1, 1)] is True and report.stable[(1, 2)] is False
     assert report.rank == rank and report.definitive == (rank is not None)
 
 
@@ -253,8 +251,9 @@ def test_oracle_equivalence_three_point(three_engine):
 
 
 def test_oracle_equivalence_reports_a_corrupted_cell(three_point):
-    # r_1(x, y) > 1/10 = r_0(x, y), so (x, y) enters the fixpoint at stage 1;
-    # zeroing that one stage-1 cell moves its r entry stage to 2
+    # r_0(x, y) = 0 < 1/10 < r_1(x, y), so (x, y) enters at stage 1; zeroing
+    # that one stage-1 cell moves its r entry stage to 2, which the fixpoint
+    # (lifting thresholded stage-0 tables) does not see
     eng = BFEngine(three_point, config=EngineConfig(max_arity=2, table_cap=3))
     assert eng.oracle_equivalence(F(1, 10)).ok
     assert eng.codebook[0] == 0
