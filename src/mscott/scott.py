@@ -11,7 +11,9 @@ The engine computes, for one finite structure:
                                max_d min_c r_alpha(ac, bd) )
 
   i.e. the two-sided Hausdorff lift over one-point extensions (the
-  inf over independent witnesses splits into the two one-sided terms);
+  inf over independent witnesses splits into the two one-sided terms).
+  Every r_alpha is symmetric, so the first term is the transpose of the
+  second, and the lift reduces only one of them;
 * a triangular table family: stage alpha is available at arity n when
   n + alpha <= table_cap, the one truncation, made explicit;
 * the threshold operator at a rational q > 0, whose stages collect,
@@ -161,13 +163,19 @@ def _stage0(rows: dict[int, np.ndarray], values: dict[Fraction, int]) -> tuple[t
 def _lift(x: np.ndarray, m: int) -> np.ndarray:
     """The two-sided Hausdorff lift over one-point extensions by m points,
     max(max_c min_d x[ac, bd], max_d min_c x[ac, bd]) at (a, b): the next
-    stage on codes, the threshold step on booleans (min AND, max OR).  Each
-    quantifier reduces m slices; numpy reduces a short strided axis slower."""
+    stage on codes, the threshold step on booleans (min AND, max OR).
+
+    ``x`` must be symmetric, as every stage and threshold table is: then the
+    first term is the transpose of the second, so only the second is
+    reduced, its min over c from the contiguous row blocks ``x4[:, c]``.
+    Each quantifier folds m slices; numpy reduces a short axis slower."""
     t = x.shape[0] // m
     x4 = x.reshape(t, m, t, m)
-    min_c = np.minimum.reduce([x4[:, c] for c in range(m)])  # [a, b, d]
-    min_d = np.minimum.reduce([x4[..., d] for d in range(m)])  # [a, c, b]
-    return np.maximum.reduce([min_c[..., d] for d in range(m)] + [min_d[:, c] for c in range(m)])
+    min_c = x4[:, 0].copy()  # [a, b, d]
+    for c in range(1, m):
+        np.minimum(min_c, x4[:, c], out=min_c)
+    one = np.maximum.reduce([min_c[..., d] for d in range(m)])
+    return np.maximum(one, one.T)
 
 
 class BFEngine:
@@ -435,10 +443,13 @@ class BFEngine:
         out = np.full(self.table(n, 0).shape, -1, np.min_scalar_type(-1 - self.cap))
         # Compared value by value, not through ``_threshold``, so that
         # ``oracle_equivalence`` checks the fixpoint against its own reading.
-        above = np.array([v > q for v in self._codebook], dtype=bool)
+        above = [v > q for v in self._codebook]
+        lo = above.count(False)  # the first code above q, checked, not assumed
+        if not all(above[lo:]):
+            raise ValueError(f"the codebook is not ascending: values above {q} are not a suffix")
         # Descending, so the least stage is written last and wins.
         for alpha in range(self.window(n), -1, -1):
-            out[above[self.table(n, alpha)]] = alpha
+            np.copyto(out, alpha, where=self.table(n, alpha) >= lo)
         return out
 
     def oracle_equivalence(self, q: Fraction, max_report: int = 10) -> EquivalenceReport:

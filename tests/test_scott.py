@@ -70,9 +70,11 @@ def test_r0_pair_without_family_or_with_equal_tuples(three_point):
 
 @st.composite
 def code_tables(draw):
+    # symmetric, as every stage and threshold table is: the lift relies on it
     m = draw(st.integers(1, 4))
     t = m ** draw(st.integers(1, 3 if m > 2 else 4))
-    return m, draw(arrays(np.uint8, (t, t), elements=st.integers(0, 5)))
+    x = draw(arrays(np.uint8, (t, t), elements=st.integers(0, 5)))
+    return m, np.maximum(x, x.T)
 
 
 @given(code_tables())
@@ -262,6 +264,53 @@ def test_oracle_equivalence_reports_a_corrupted_cell(three_point):
     report = eng.oracle_equivalence(F(1, 10))
     assert not report.ok
     assert report.mismatches == ((1, ("x",), ("y",), 1, 2),)
+
+
+def literal_r_entry_stages(eng, q, n):
+    """The least stage alpha <= window(n) with r_alpha > q per cell, else -1."""
+    book = eng.codebook
+    tables = [eng.table(n, alpha).tolist() for alpha in range(eng.window(n) + 1)]
+    size = len(tables[0])
+    return [[next((alpha for alpha, t in enumerate(tables) if book[t[i][j]] > q), -1)
+             for j in range(size)] for i in range(size)]
+
+
+def test_r_entry_stages_match_literal_reference(data_dir, corpus):
+    relational = [s for s in corpus if s.signature.relations][:2]
+    structures = [load_structure(data_dir / "three_point.ms"),
+                  load_structure(data_dir / "rel_demo.ms")] + relational
+    for s in structures:
+        eng = BFEngine(s, config=EngineConfig(family_size=30, max_arity=2, table_cap=3))
+        book = eng.codebook
+        positive = [v for v in book if v > 0]
+        between = [(lo + hi) / 2 for lo, hi in zip(book, book[1:])]
+        qs = [positive[0] / 2] + positive + between + [book[-1] + 1]
+        for q in qs:
+            for n in range(1, eng.cap + 1):
+                got = eng.r_entry_stages(q, n)
+                assert got.tolist() == literal_r_entry_stages(eng, q, n), (s.name, q, n)
+        # two codebook values swapped across q: the codes above q are no
+        # longer a suffix, so the reading is refused rather than returned
+        lo, hi = book[-2], book[-1]
+        eng._codebook = book[:-2] + (hi, lo)
+        with pytest.raises(ValueError, match="not ascending"):
+            eng.r_entry_stages((lo + hi) / 2, 1)
+
+
+def test_tables_and_fixpoint_entries_are_symmetric(data_dir, corpus):
+    # _lift reduces one one-sided term and mirrors it, which is the two-sided
+    # lift only on symmetric tables; every table it receives must be one
+    structures = corpus[:8] + [load_structure(p) for p in sorted(data_dir.glob("*.ms"))]
+    for s in structures:
+        eng = BFEngine(s, config=EngineConfig(family_size=30, max_arity=2, table_cap=3))
+        for n in range(1, eng.cap + 1):
+            for stage in range(eng.window(n) + 1):
+                t = eng.table(n, stage)
+                assert np.array_equal(t, t.T), (s.name, n, stage)
+        book = eng.codebook
+        for q in [(lo + hi) / 2 for lo, hi in zip(book, book[1:])]:
+            for n, e in eng.gamma_fixpoint(q).entry.items():
+                assert np.array_equal(e, e.T), (s.name, q, n)
 
 
 def test_oracle_equivalence_isometric_pairs(two_engine):
