@@ -21,10 +21,11 @@ formulas in v0..v_{n-1}:
   skipped; enumeration never calls the grid-resolution respects-check;
 * each stream is a generator that works through data heights h = 1, 2,
   ...: the single segments of height h (rational anchors and endpoint
-  values of denominator at most h), then binary meets and joins whose
-  later operand was emitted at height h - 1; degenerate and slope-0
-  segments normalize to constants, which follow the other segments of
-  their height, and duplicates are dropped by value;
+  values a < b of denominator at most h; a = b would only give the
+  constant a), then the constants of height h, then binary meets and
+  joins whose later operand was emitted at height h - 1.  No item
+  repeats within a stream: singles differ in their data, constants in
+  their height, meets and joins in their operand pair;
 * diagonal j opens the stream of the j-th tuple and then takes one item
   from every open stream, oldest first.  Every height yields a new
   constant, so streams never run dry and the family is infinite unless
@@ -40,7 +41,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, islice, product
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .moduli import (
     Modulus,
@@ -140,65 +141,49 @@ def unit_rationals(height: int) -> list[Fraction]:
     return sorted(vals)
 
 
-def _height(x: Fraction) -> int:
-    return x.denominator
-
-
 # ---------------------------------------------------------------------------
 # Per-tuple streams
 # ---------------------------------------------------------------------------
 
 
-def _constants() -> Iterator[Formula]:
-    """The constant formulas in height order: the family of an empty pool."""
-    for h in count(1):
-        for q in unit_rationals(h):
-            if _height(q) == h:
-                yield ConstF(q)
+def _constants(h: int) -> Iterator[Formula]:
+    """The constant formulas of data height h, ascending."""
+    for q in unit_rationals(h):
+        if q.denominator == h:
+            yield ConstF(q)
 
 
 def _singles(atomics: tuple[Atomic, ...], delta: Modulus, h: int) -> Iterator[Formula]:
-    """Single segments of data height h: nondegenerate ones as they are
-    built, then the constants that degenerate data normalizes to."""
+    """The segments of data height h with a < b, in data order, then the
+    constants of height h."""
     k = delta.arity
-    consts: list[Formula] = []
     for combo in product(unit_rationals(h), repeat=2 * k + 2):
-        if max(_height(c) for c in combo) != h:
+        if combo[2 * k] >= combo[2 * k + 1] or max(c.denominator for c in combo) != h:
             continue
         try:
             seg = make_segment(delta, combo[:k], combo[k : 2 * k], combo[2 * k], combo[2 * k + 1])
         except ValueError:
             continue
-        if seg.degenerate or seg.a == seg.b:
-            consts.append(ConstF(seg.a))
-        else:
-            yield SegF(seg, atomics)
-    yield from consts
+        yield SegF(seg, atomics)
+    yield from _constants(h)
 
 
 def _stream(atomics: tuple[Atomic, ...], delta: Modulus) -> Iterator[Formula]:
-    """The items of one tuple of atomics, height by height: the single
-    segments of height h, then the meets and the joins whose later operand
-    was emitted at height h - 1.  Duplicates are dropped by value.
+    """The items of one tuple of atomics, height by height: the singles of
+    height h, then the meets and the joins whose later operand was emitted
+    at height h - 1.
 
-    Every height emits at least the new constant 1/h (a = b is valid for
-    any anchors), so the stream never runs dry."""
+    Every height emits at least the new constant 1/h, so the stream never
+    runs dry."""
     items: list[Formula] = []
-    seen: set[Formula] = set()
-
-    def fresh(phis: Iterable[Formula]) -> Iterator[Formula]:
-        for phi in phis:
-            if phi not in seen:
-                seen.add(phi)
-                items.append(phi)
-                yield phi
-
     lo = hi = 0  # items[lo:hi] were emitted at the previous height
     for h in count(1):
         start = len(items)
-        yield from fresh(_singles(atomics, delta, h))
-        for op in (MinF, MaxF):
-            yield from fresh(op((items[i], items[j])) for j in range(lo, hi) for i in range(j))
+        lattice = (op((items[i], items[j]))
+                   for op in (MinF, MaxF) for j in range(lo, hi) for i in range(j))
+        for phi in chain(_singles(atomics, delta, h), lattice):
+            items.append(phi)
+            yield phi
         lo, hi = start, len(items)
 
 
@@ -231,7 +216,7 @@ class FamilyEnumerator:
         rows = []
         for a in atomics:
             row = linear_upper_row(canonical_modulus(a, self.signature, self.arity))
-            if row is None or not any(row):
+            if row is None:
                 return None
             rows.append(row)
         key = tuple(rows)
@@ -244,7 +229,7 @@ class FamilyEnumerator:
         length, then lexicographic order) if that tuple has an induced
         modulus, then takes one item from every open stream, oldest first."""
         if not self.pool:
-            yield from _constants()
+            yield from chain.from_iterable(map(_constants, count(1)))
             return
         streams: list[Iterator[Formula]] = []
         tuples = chain.from_iterable(

@@ -447,9 +447,14 @@ class BFEngine:
         lo = above.count(False)  # the first code above q, checked, not assumed
         if not all(above[lo:]):
             raise ValueError(f"the codebook is not ascending: values above {q} are not a suffix")
-        # Descending, so the least stage is written last and wins.
+        # Descending, so the least stage is written last and wins.  The write
+        # is branch-free and in place, so it costs the same for any mask:
+        # out becomes alpha where r_alpha > q and stays put elsewhere, and
+        # out - alpha lies in [-1 - window, window], inside the dtype.
         for alpha in range(self.window(n), -1, -1):
-            np.copyto(out, alpha, where=self.table(n, alpha) >= lo)
+            out -= alpha
+            out *= self.table(n, alpha) < lo
+            out += alpha
         return out
 
     def oracle_equivalence(self, q: Fraction, max_report: int = 10) -> EquivalenceReport:

@@ -48,6 +48,20 @@ def test_validate_rejects(tmp_path):
     assert "metric-triangle" in proc.stdout
 
 
+@pytest.mark.parametrize("text,stdout,stderr", [
+    ("mscott/1\n[signature]\nconst c\n[points]\np q\n[metric]\n1/2\n[const c] r\n",
+     "invalid: constant-range: constant c = 'r' is not a point\n", ""),
+    ("mscott/1 bogus\n[points]\np q\n[metric]\n1/2\n",
+     "", "error: {path}: line 1: unknown flag 'bogus'\n"),
+])
+def test_validate_refusal_lines(tmp_path, text, stdout, stderr):
+    bad = tmp_path / "bad.ms"
+    bad.write_text(text)
+    proc = subprocess.run([sys.executable, "-m", "mscott", "validate", str(bad)],
+                          capture_output=True, text=True, cwd=PKG_ROOT)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, stdout, stderr.format(path=bad))
+
+
 def test_usage_error_exit_2():
     proc = subprocess.run(
         [sys.executable, "-m", "mscott", "no-such-command"],

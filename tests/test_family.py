@@ -1,10 +1,13 @@
 from fractions import Fraction as F
+from itertools import islice, product
+from math import gcd
 
 import pytest
 
 from mscott.family import (
     _ENUM_CACHE,
     FamilyEnumerator,
+    _stream,
     atomic_pool,
     enumerate_family,
     family_stack,
@@ -13,10 +16,14 @@ from mscott.family import (
 from mscott.moduli import Linear, SumWeakModulus
 from mscott.structures import load_structure
 from mscott.parser import parse_formula, print_formula
+from mscott.segments import make_segment
 from mscott.syntax import (
     Atomic,
     ConstF,
     EMPTY_SIGNATURE,
+    MaxF,
+    MinF,
+    SegF,
     Signature,
     Symbol,
     formula_free_vars,
@@ -75,6 +82,59 @@ def test_enumeration_extends_prefix():
     assert longer[:15] == first
 
 
+def _reference_height(atomics, delta, h):
+    """Brute force: every (x, y, a, b) of data height h, in product order,
+    that make_segment accepts with a < b, then the constants of height h."""
+    k = delta.arity
+    vals = sorted({F(p, q) for q in range(1, h + 1) for p in range(q + 1)})
+    items = []
+    for combo in product(vals, repeat=2 * k + 2):
+        if max(c.denominator for c in combo) != h:
+            continue
+        try:
+            seg = make_segment(delta, combo[:k], combo[k:2 * k], combo[2 * k], combo[2 * k + 1])
+        except ValueError:
+            continue
+        if seg.a < seg.b:
+            items.append(SegF(seg, atomics))
+    return items + [ConstF(F(p, h)) for p in range(h + 1) if gcd(p, h) == 1]
+
+
+def _stream_cases(data_dir):
+    """(atomics, delta, top height) for the first tuple with an induced
+    modulus of each length: lengths 1 and 2 through height 3, length 3
+    through height 2, over the empty signature and rel_demo."""
+    rel_demo = load_structure(data_dir / "rel_demo.ms").signature
+    for sig, arity in ((EMPTY_SIGNATURE, 3), (rel_demo, 1)):
+        enum = FamilyEnumerator(sig, OMEGA, arity)
+        for length, top in ((1, 3), (2, 3), (3, 2)):
+            tuples = (t for t in product(enum.pool, repeat=length) if enum._induced(t))
+            for atomics in islice(tuples, 1):
+                yield atomics, enum._induced(atomics), top
+
+
+def test_stream_matches_brute_force_by_height(data_dir):
+    # each height: the reference singles, then the meets and the joins
+    # whose later operand came at the height below
+    for atomics, delta, top in _stream_cases(data_dir):
+        expected, lo, hi = [], 0, 0
+        for h in range(1, top + 1):
+            start = len(expected)
+            expected += _reference_height(atomics, delta, h)
+            if h < top:
+                for op in (MinF, MaxF):
+                    expected += [op((expected[i], expected[j]))
+                                 for j in range(lo, hi) for i in range(j)]
+            lo, hi = start, len(expected)
+        assert list(islice(_stream(atomics, delta), len(expected))) == expected, atomics
+
+
+def test_stream_items_are_distinct(data_dir):
+    for atomics, delta, _ in _stream_cases(data_dir):
+        items = list(islice(_stream(atomics, delta), 1000))
+        assert len(set(items)) == len(items), atomics
+
+
 def test_family_stack_extends_the_arity_below(corpus, data_dir):
     # stage 0 at arity n takes the members of family_stack(n - 1) from the
     # arity-(n - 1) table, which holds only if they read v0..v_{n-2}
@@ -108,8 +168,8 @@ def test_family_cache_is_shared_across_weak_modulus_instances():
 
 @pytest.mark.parametrize("sig_file", [None, "rel_demo.ms", "square.ms"])
 def test_members_are_identified_by_value_as_by_print(sig_file, data_dir):
-    # the dedup in the streams and in family_stack compares formulas by
-    # value; printing must draw exactly the same distinctions
+    # the dedup in family_stack compares formulas by value; printing must
+    # draw exactly the same distinctions
     sig = EMPTY_SIGNATURE if sig_file is None else load_structure(data_dir / sig_file).signature
     for arity in range(1, 5):
         fam = enumerate_family(sig, OMEGA, arity, 200)

@@ -32,6 +32,11 @@ CASES = [
          "--arity", "2", "--count", "200"],
     ),
     (
+        "dense_family_rel_demo_arity3_count500.txt",
+        ["dense-family", "--signature", str(DATA / "rel_demo.ms"),
+         "--arity", "3", "--count", "500"],
+    ),
+    (
         "fixpoint_three_point_q1_10.json",
         ["fixpoint", str(DATA / "three_point.ms"), "--q", "1/10",
          "--max-arity", "2", "--table-cap", "3", "--json"],

@@ -209,3 +209,64 @@ def test_automorphisms_respect_relations():
     assert validate(s) == []
     autos = automorphisms(s)
     assert len(autos) == 1  # the swap breaks R
+
+
+_TABLES = """mscott/1
+[signature]
+rel R 1 linear(1)
+fun f 1 linear(1)
+const c
+[points]
+x y
+[metric]
+1/2
+"""
+
+
+@pytest.mark.parametrize("body,expected", [
+    ("[rel R]\nx 0\n[fun f]\nx x\ny y\n[const c] x\n",
+     ("relation-total", "R('y',) missing")),
+    ("[rel R]\nx 0\ny 3/2\n[fun f]\nx x\ny y\n[const c] x\n",
+     ("relation-range", "R('y',) = 3/2 outside [0,1]")),
+    ("[rel R]\nx 0\ny 0\n[fun f]\nx x\n[const c] x\n",
+     ("function-total", "f('y',) missing")),
+    ("[rel R]\nx 0\ny 0\n[fun f]\nx x\ny q\n[const c] x\n",
+     ("function-range", "f('y',) = 'q' is not a point")),
+    ("[rel R]\nx 0\ny 0\n[fun f]\nx x\ny y\n[const c] q\n",
+     ("constant-range", "constant c = 'q' is not a point")),
+])
+def test_table_violations(body, expected):
+    assert [(v.kind, v.message) for v in validate(parse_structure(_TABLES + body))] == [expected]
+
+
+def test_duplicate_point_names():
+    s = parse_structure("mscott/1\n[points]\np p\n[metric]\n1/2\n")
+    assert [(v.kind, v.message) for v in validate(s)] == [("points", "duplicate point names")]
+
+
+@pytest.mark.parametrize("text,message", [
+    ("mscott/1 bogus\n[points]\np q\n[metric]\n1/2\n", "line 1: unknown flag 'bogus'"),
+    ("mscott/1\n[points]\np q\n[metric]\n1/2\n[colors]\n", "line 6: unknown section [colors]"),
+    ("mscott/1\n[points]\np q r\n[metric]\n1/2\n1/2\n", "[metric] row 2 needs 2 entries, got 1"),
+    ("mscott/1\n[points]\np\n[fun f]\np p\n", "[fun f] has no signature entry"),
+    ("mscott/1\n[points]\np\n[const c] p\n", "[const c] has no signature entry"),
+])
+def test_format_refusals(text, message):
+    with pytest.raises(StructureFormatError) as err:
+        parse_structure(text)
+    assert str(err.value) == message
+
+
+def test_automorphisms_respect_functions():
+    # f sends both points to p, so the swap does not commute with it
+    sig = Signature(functions=(Symbol("f", 1, Linear((F(1),))),))
+    s = PreStructure(
+        signature=sig,
+        points=("p", "q"),
+        metric=build_metric(("p", "q"), [[F(1, 2)]]),
+        functions={"f": {("p",): "p", ("q",): "p"}},
+    )
+    assert validate(s) == []
+    assert automorphisms(s) == [{"p": "p", "q": "q"}]
+    swapping = PreStructure(sig, s.points, s.metric, functions={"f": {("p",): "q", ("q",): "p"}})
+    assert len(automorphisms(swapping)) == 2
