@@ -108,9 +108,8 @@ def _stream_cases(data_dir):
     for sig, arity in ((EMPTY_SIGNATURE, 3), (rel_demo, 1)):
         enum = FamilyEnumerator(sig, OMEGA, arity)
         for length, top in ((1, 3), (2, 3), (3, 2)):
-            tuples = (t for t in product(enum.pool, repeat=length) if enum._induced(t))
-            for atomics in islice(tuples, 1):
-                yield atomics, enum._induced(atomics), top
+            atomics = next(t for t in product(enum.pool, repeat=length) if enum._induced(t))
+            yield atomics, enum._induced(atomics), top
 
 
 def test_stream_matches_brute_force_by_height(data_dir):
